@@ -384,11 +384,7 @@ func BenchmarkScale_Synth200(b *testing.B) { benchScale(b, 200) }
 // benchAllocateParallel runs an 8-restart portfolio through the engine
 // with the given worker count; the allocation result is identical for
 // every worker count, so the families differ only in wall clock.
-// cloneEval selects the legacy clone-and-reevaluate reference path; the
-// default transactional path produces byte-identical allocations, so
-// the CloneEval families measure exactly the incremental evaluation's
-// speedup.
-func benchAllocateParallel(b *testing.B, g func() *cdfg.Graph, steps, workers int, cloneEval bool) {
+func benchAllocateParallel(b *testing.B, g func() *cdfg.Graph, steps, workers int) {
 	b.Helper()
 	graph := g()
 	d := cdfg.DefaultDelays(false)
@@ -406,7 +402,6 @@ func benchAllocateParallel(b *testing.B, g func() *cdfg.Graph, steps, workers in
 	o := core.SALSAOptions(1)
 	o.MovesPerTrial = 600
 	o.MaxTrials = 8
-	o.CloneEval = cloneEval
 	jobs := engine.Restarts(o, 8)
 	b.ResetTimer()
 	var merged float64
@@ -422,25 +417,16 @@ func benchAllocateParallel(b *testing.B, g func() *cdfg.Graph, steps, workers in
 }
 
 func BenchmarkAllocateParallel_EWF_W1(b *testing.B) {
-	benchAllocateParallel(b, workloads.EWF, 19, 1, false)
+	benchAllocateParallel(b, workloads.EWF, 19, 1)
 }
 func BenchmarkAllocateParallel_EWF_WNumCPU(b *testing.B) {
-	benchAllocateParallel(b, workloads.EWF, 19, runtime.NumCPU(), false)
+	benchAllocateParallel(b, workloads.EWF, 19, runtime.NumCPU())
 }
 func BenchmarkAllocateParallel_DCT_W1(b *testing.B) {
-	benchAllocateParallel(b, workloads.DCT, 12, 1, false)
+	benchAllocateParallel(b, workloads.DCT, 12, 1)
 }
 func BenchmarkAllocateParallel_DCT_WNumCPU(b *testing.B) {
-	benchAllocateParallel(b, workloads.DCT, 12, runtime.NumCPU(), false)
-}
-
-// The CloneEval families pin the legacy clone-based path so benchstat
-// can report the incremental transaction speedup from a single run.
-func BenchmarkAllocateParallel_EWF_W1_CloneEval(b *testing.B) {
-	benchAllocateParallel(b, workloads.EWF, 19, 1, true)
-}
-func BenchmarkAllocateParallel_DCT_W1_CloneEval(b *testing.B) {
-	benchAllocateParallel(b, workloads.DCT, 12, 1, true)
+	benchAllocateParallel(b, workloads.DCT, 12, runtime.NumCPU())
 }
 
 // BenchmarkHungarian measures the matching core on a 40x40 instance.

@@ -9,6 +9,8 @@
 //   - with -old FILE, prints an old-vs-new comparison table and, for
 //     every benchmark whose name matches -gate, fails (exit 1) when
 //     median ns/op regressed by more than -max-regress percent.
+//     Benchmarks present only in the old log are listed as removed;
+//     they never fail the gate.
 //
 // The CI benchmark job runs the suite on the pull request and on the
 // merge base, then gates the PR with:
@@ -140,6 +142,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "%-50s %14.0f -> %14.0f ns/op  %+7.2f%%%s\n",
 			name, o.NsPerOp, n.NsPerOp, delta, verdict)
+	}
+	// A benchmark the new log lacks was deleted or renamed; say so
+	// rather than letting it vanish from the comparison. It cannot
+	// regress, so it never fails the gate.
+	for _, name := range sortedNames(oldSum) {
+		if _, ok := newSum[name]; ok {
+			continue
+		}
+		verdict := ""
+		if gateRE != nil && gateRE.MatchString(name) {
+			verdict = "  [gated]"
+		}
+		fmt.Fprintf(stdout, "%-50s %14.0f ns/op  (removed)%s\n", name, oldSum[name].NsPerOp, verdict)
 	}
 	if regressed {
 		fmt.Fprintln(stdout, "benchdiff: gated benchmark regressed")

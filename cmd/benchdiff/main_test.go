@@ -153,6 +153,42 @@ func TestGateIgnoresUngatedRegression(t *testing.T) {
 	}
 }
 
+func TestRemovedBenchmarksReported(t *testing.T) {
+	// The new log drops a gated AllocateParallel benchmark and an
+	// ungated CloneEWF one; only DeltaEval survives.
+	oldLog := strings.Replace(sampleLog, "PASS",
+		"BenchmarkCloneEWF-8                  \t  100000\t     20000 ns/op\t   64000 B/op\t     900 allocs/op\nPASS", 1)
+	oldPath := writeLog(t, "old.txt", oldLog)
+	var kept []string
+	for _, line := range strings.Split(sampleLog, "\n") {
+		if !strings.HasPrefix(line, "BenchmarkAllocateParallel_") {
+			kept = append(kept, line)
+		}
+	}
+	newPath := writeLog(t, "new.txt", strings.Join(kept, "\n"))
+	var out, errb bytes.Buffer
+	code := run([]string{"-old", oldPath, "-new", newPath,
+		"-gate", "BenchmarkAllocateParallel_(EWF|DCT)_", "-max-regress", "10"}, &out, &errb)
+	if code != 0 {
+		t.Fatalf("exit %d, want 0: a removed benchmark cannot regress; output:\n%s", code, out.String())
+	}
+	lines := map[string]string{}
+	for _, line := range strings.Split(out.String(), "\n") {
+		if f := strings.Fields(line); len(f) > 0 {
+			lines[f[0]] = line
+		}
+	}
+	if l := lines["BenchmarkAllocateParallel_EWF_W1"]; !strings.Contains(l, "(removed)") || !strings.Contains(l, "[gated]") {
+		t.Errorf("gated benchmark missing from -new not reported as removed and gated: %q\n%s", l, out.String())
+	}
+	if l := lines["BenchmarkCloneEWF"]; !strings.Contains(l, "(removed)") || strings.Contains(l, "[gated]") {
+		t.Errorf("ungated benchmark missing from -new not reported as removed (ungated): %q\n%s", l, out.String())
+	}
+	if l := lines["BenchmarkDeltaEvalEWF"]; strings.Contains(l, "(removed)") {
+		t.Errorf("benchmark present in both logs reported as removed: %q", l)
+	}
+}
+
 func TestUsageErrors(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run(nil, &out, &errb); code != 2 {

@@ -46,7 +46,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		workers   = fs.Int("workers", runtime.NumCPU(), "seeds crosschecked in parallel (output is identical for any count)")
 		inject    = fs.String("inject", "", fmt.Sprintf("plant a fault into every extended binding to demonstrate the oracle; one of %v", crosscheck.FaultKinds()))
 		simIters  = fs.Int("sim-iters", 0, "loop iterations simulated per cyclic case (0 = oracle default)")
-		incr      = fs.Bool("incremental", true, "re-run each portfolio on the legacy clone-and-reevaluate path and require a byte-identical winner")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -55,7 +54,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "salsafuzz: -seeds must be positive")
 		return 2
 	}
-	cfg := crosscheck.Config{SimIters: *simIters, DisableIncremental: !*incr}
+	cfg := crosscheck.Config{SimIters: *simIters}
 	if *inject != "" {
 		f, err := crosscheck.InjectFault(*inject)
 		if err != nil {

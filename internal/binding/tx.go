@@ -22,16 +22,8 @@ import (
 // of the ordered use-events targeting that sink alone. A mutator marks
 // every sink whose event sequence its change can alter; unmarked sinks
 // keep their event sequences and therefore their exact fanins.
-//
-// A Tx built with NewScratchTx skips all cost maintenance and only
-// provides the mutators plus reusable occupancy buffers — the
-// clone-based reference path drives the same move code through a
-// scratch Tx so both paths draw identical random sequences.
 type Tx struct {
 	b *Binding
-	// inc enables incremental cost maintenance; scratch transactions
-	// leave it off and evaluate clones with full Eval instead.
-	inc bool
 
 	ct *datapath.CostTable
 	ns datapath.NetScratch
@@ -114,36 +106,15 @@ func NewTx(b *Binding) (*Tx, error) {
 	return t, nil
 }
 
-// NewScratchTx builds a mutation-only transaction (no cost tables) so
-// the clone-based path can run the same move code.
-func NewScratchTx(b *Binding) *Tx {
-	t := &Tx{}
-	t.Retarget(b)
-	return t
-}
-
 // B returns the binding under transaction.
 func (t *Tx) B() *Binding { return t.b }
 
-// Retarget points a scratch transaction at another binding over the
-// same hardware and schedule; the clone path retargets one scratch Tx
-// at each fresh clone. Cost state is not maintained.
-func (t *Tx) Retarget(b *Binding) {
-	t.b = b
-	t.inc = false
-	t.ensureShape()
-	t.occOK, t.fuoccOK = false, false
-	t.undo = t.undo[:0]
-	t.inMove = false
-}
-
-// Reset re-seeds an incremental transaction from b's current state: use
+// Reset re-seeds the transaction from b's current state: use
 // counts are recomputed and the per-sink cost table is filled from one
 // full evaluation. The search calls it once per trial restart, so its
 // cost amortizes over the trial's moves.
 func (t *Tx) Reset(b *Binding) error {
 	t.b = b
-	t.inc = true
 	t.ensureShape()
 	t.occOK, t.fuoccOK = false, false
 	t.undo = t.undo[:0]
@@ -347,9 +318,6 @@ func (t *Tx) fuWeight(f int) int {
 }
 
 func (t *Tx) incArith(f int) {
-	if !t.inc {
-		return
-	}
 	if t.fuArith[f]+t.fuPass[f] == 0 {
 		t.fusUsed++
 		t.fuArea += t.fuWeight(f)
@@ -358,9 +326,6 @@ func (t *Tx) incArith(f int) {
 }
 
 func (t *Tx) decArith(f int) {
-	if !t.inc {
-		return
-	}
 	t.fuArith[f]--
 	if t.fuArith[f]+t.fuPass[f] == 0 {
 		t.fusUsed--
@@ -369,9 +334,6 @@ func (t *Tx) decArith(f int) {
 }
 
 func (t *Tx) incPass(f int) {
-	if !t.inc {
-		return
-	}
 	if t.fuArith[f]+t.fuPass[f] == 0 {
 		t.fusUsed++
 		t.fuArea += t.fuWeight(f)
@@ -380,9 +342,6 @@ func (t *Tx) incPass(f int) {
 }
 
 func (t *Tx) decPass(f int) {
-	if !t.inc {
-		return
-	}
 	t.fuPass[f]--
 	if t.fuArith[f]+t.fuPass[f] == 0 {
 		t.fusUsed--
@@ -391,9 +350,6 @@ func (t *Tx) decPass(f int) {
 }
 
 func (t *Tx) incReg(r int) {
-	if !t.inc {
-		return
-	}
 	if t.regCnt[r] == 0 {
 		t.regsUsed++
 	}
@@ -401,9 +357,6 @@ func (t *Tx) incReg(r int) {
 }
 
 func (t *Tx) decReg(r int) {
-	if !t.inc {
-		return
-	}
 	t.regCnt[r]--
 	if t.regCnt[r] == 0 {
 		t.regsUsed--
@@ -413,7 +366,7 @@ func (t *Tx) decReg(r int) {
 // --- affected-set marking ---
 
 func (t *Tx) markIdx(idx int) {
-	if !t.inc || idx < 0 || t.dirty[idx] {
+	if idx < 0 || t.dirty[idx] {
 		return
 	}
 	t.dirty[idx] = true
@@ -436,7 +389,7 @@ func (t *Tx) markFUPorts(f int) {
 // markBirth marks the registers loaded at a value's birth — the sinks
 // seeing the producer FU as a source.
 func (t *Tx) markBirth(v lifetime.ValueID) {
-	if !t.inc || v == lifetime.NoValue {
+	if v == lifetime.NoValue {
 		return
 	}
 	t.markReg(t.b.SegReg[v][0])
@@ -450,7 +403,7 @@ func (t *Tx) markBirth(v lifetime.ValueID) {
 // register holding it (primary or copy, any position), and the input
 // ports of pass-through FUs carrying its transfers.
 func (t *Tx) markValue(v lifetime.ValueID) {
-	if !t.inc || v == lifetime.NoValue {
+	if v == lifetime.NoValue {
 		return
 	}
 	b := t.b
@@ -636,8 +589,8 @@ func (t *Tx) PrunePass() int {
 // Occ returns the register occupancy of the current state, rebuilding
 // the reused buffer only when a mutation invalidated it. The returned
 // table aliases the transaction's buffer: it is valid until the next
-// mutation-then-Occ sequence, and movers that mutate mid-scan observe
-// the pre-move snapshot exactly as the clone-based path did.
+// mutation-then-Occ sequence, so movers that mutate mid-scan observe
+// the pre-move snapshot.
 func (t *Tx) Occ() ([][]lifetime.ValueID, error) {
 	if !t.occOK {
 		if err := t.b.regOccupancyInto(t.occBuf); err != nil {
@@ -686,9 +639,9 @@ func (t *Tx) Cost() Cost {
 
 // DeltaCost replays every dirty sink against the mutated binding,
 // journaling the overwritten contributions, and returns the move's
-// resulting cost. An error reproduces exactly the Eval error the
-// clone-based path would have hit (a sink needing two sources in one
-// step); the caller rolls back or aborts just as it would there.
+// resulting cost. An error reproduces exactly the error a full Eval of
+// the mutated binding would return (a sink needing two sources in one
+// step).
 func (t *Tx) DeltaCost() (Cost, error) {
 	for _, idx := range t.dirtyList {
 		c, err := t.replaySink(idx)
@@ -718,7 +671,7 @@ func (t *Tx) replaySink(idx int) (int, error) {
 		// position) with O(StorageSteps) array reads. On an occupancy
 		// conflict — which full Eval would not detect — fall back to
 		// the HeldIn-based replay so error behavior stays byte-
-		// identical to the clone path.
+		// identical to full Eval.
 		if !t.occOK {
 			if t.b.regOccupancyInto(t.occBuf) == nil {
 				t.occOK = true

@@ -335,50 +335,6 @@ func TestTxResetReseedsFromCurrentState(t *testing.T) {
 	}
 }
 
-// TestScratchTxMutatesWithoutCostState: a scratch Tx drives the same
-// mutators on clones — the clone-based reference path — without
-// maintaining any cost tables, and Retarget moves it between clones.
-func TestScratchTxMutatesWithoutCostState(t *testing.T) {
-	_, b := txFixture(t)
-	c1 := b.Clone()
-	tx := NewScratchTx(c1)
-	if tx.B() != c1 {
-		t.Fatal("scratch Tx does not report its binding")
-	}
-	tx.Begin()
-	tx.SetOpFU(3, 1) // node u: step 1, alone on FU1
-	tx.FlipSwap(3)
-	tx.Commit()
-	if b.OpFU[3] == 1 || b.OpSwap[3] {
-		t.Fatal("scratch Tx mutated the original binding, not the clone")
-	}
-	if c1.OpFU[3] != 1 || !c1.OpSwap[3] {
-		t.Fatal("scratch Tx mutations did not land on the clone")
-	}
-	if _, err := tx.Occ(); err != nil {
-		t.Fatalf("scratch Occ: %v", err)
-	}
-	if _, err := tx.FUOcc(); err != nil {
-		t.Fatalf("scratch FUOcc: %v", err)
-	}
-	if err := tx.OccLegal(); err != nil {
-		t.Fatalf("scratch OccLegal: %v", err)
-	}
-
-	// Retarget at a fresh clone: mutations stop touching the first.
-	c2 := b.Clone()
-	tx.Retarget(c2)
-	tx.Begin()
-	tx.SetSegReg(0, 0, 3)
-	tx.Commit()
-	if c1.SegReg[0][0] == 3 {
-		t.Fatal("retargeted Tx still mutates the previous clone")
-	}
-	if c2.SegReg[0][0] != 3 {
-		t.Fatal("retargeted Tx mutation did not land on the new clone")
-	}
-}
-
 // TestTxPrunePassRollsBack: the transactional PrunePass logs its
 // removals, so rejecting the surrounding move restores the pass
 // bindings it pruned.

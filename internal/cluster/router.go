@@ -99,7 +99,10 @@ type Router struct {
 	cfg     Config
 	clock   clock.Clock
 	metrics *routerMetrics
-	cache   *respCache
+	// cache holds complete 200 bodies by content key, so hot requests
+	// stop crossing the network; a hit is byte-identical to the shard's
+	// answer. Partial results and errors are never stored.
+	cache *service.ResultCache
 	// full is the ring over every configured backend, healthy or not —
 	// the reference a request's "natural" owner is computed against so
 	// re-homing is observable. Immutable after construction.
@@ -150,7 +153,7 @@ func New(cfg Config) (*Router, error) {
 		cfg:     cfg,
 		clock:   cfg.Clock,
 		metrics: newRouterMetrics(),
-		cache:   newRespCache(cfg.CacheEntries),
+		cache:   service.NewResultCache(cfg.CacheEntries),
 		full:    NewRing(backends, cfg.Replicas),
 		clients: make(map[string]*client.Client, len(backends)),
 		index:   make(map[string]int, len(backends)),
@@ -271,7 +274,7 @@ func (r *Router) Healthy() []string {
 // and the simulation harness.
 func (r *Router) MetricsSnapshot() map[string]int64 {
 	m := r.metrics.snapshot()
-	m["cache_entries"] = int64(r.cache.len())
+	m["cache_entries"] = int64(r.cache.Len())
 	m["healthy_backends"] = int64(len(r.Healthy()))
 	return m
 }
@@ -459,7 +462,7 @@ func (r *Router) handleAllocate(w http.ResponseWriter, req *http.Request) {
 	if !ok {
 		return
 	}
-	if cached, hit := r.cache.get(key); hit {
+	if cached, hit := r.cache.Get(key); hit {
 		r.metrics.cacheHits.Add(1)
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("X-Salsa-Cache", "hit")
@@ -476,7 +479,7 @@ func (r *Router) handleAllocate(w http.ResponseWriter, req *http.Request) {
 	}
 	passthrough(w, res, backend)
 	if res.Status == http.StatusOK && !isPartial(res.Body) {
-		r.cache.put(key, res.Body)
+		r.cache.Put(key, res.Body)
 	}
 }
 
@@ -679,7 +682,7 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	gauge := func(name, help string, v int64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
 	}
-	gauge("salsa_router_cache_entries", "Router response-cache resident entries.", int64(r.cache.len()))
+	gauge("salsa_router_cache_entries", "Router response-cache resident entries.", int64(r.cache.Len()))
 
 	// Scrape-through: engine counters from every live backend, once per
 	// family, one labelled sample per backend, in configured order.

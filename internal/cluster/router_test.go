@@ -435,6 +435,78 @@ func TestRouterJobPollFailsOver(t *testing.T) {
 	}
 }
 
+// TestRouterJobPollNeverServesAnotherRequest: when the pinned shard is
+// down, the poll asks the other members for the same backend job ID. Two
+// shards each hold job 1 for the same graph under different seeds, so
+// the survivor's job is another request; the poll must keep answering
+// 503, never the survivor's status or result.
+func TestRouterJobPollNeverServesAnotherRequest(t *testing.T) {
+	tc := newTestCluster(t, 2, Config{ProxyAttempts: 1})
+	g := workloads.Figure1()
+	ids := make([]string, len(tc.backends))
+	for i, ts := range tc.backends {
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(allocBody(t, g, int64(i+1))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("backend %d submit: status %d: %s", i, resp.StatusCode, sub)
+		}
+		var job struct {
+			ID string `json:"id"`
+		}
+		if err := json.Unmarshal(sub, &job); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(job.ID, "j1-") {
+			t.Fatalf("backend %d: job ID %q, want the first job j1-...", i, job.ID)
+		}
+		ids[i] = job.ID
+	}
+	// Let the survivor's job finish so a wrong match would carry its
+	// result, not just a queued status.
+	for deadline := time.Now().Add(30 * time.Second); ; {
+		sr, err := http.Get(tc.backends[1].URL + "/jobs/" + ids[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st service.JobStatus
+		err = json.NewDecoder(sr.Body).Decode(&st)
+		sr.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State == "done" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("survivor's job still %q after 30s", st.State)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	tc.backends[0].Close()
+	for poll := 0; poll < 3; poll++ {
+		resp, err := http.Get(tc.front.URL + "/jobs/s0-" + ids[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("poll %d with the pinned shard dead: status %d body %s, want 503", poll, resp.StatusCode, body)
+		}
+		if bytes.Contains(body, []byte(ids[1])) || bytes.Contains(body, []byte(`"result"`)) {
+			t.Fatalf("poll %d served another request's job: %s", poll, body)
+		}
+	}
+	if m := tc.router.MetricsSnapshot(); m["failover_total"] != 0 {
+		t.Errorf("failover_total = %d, want 0: no survivor holds this request's job", m["failover_total"])
+	}
+}
+
 // TestRouterBadRequest: the router validates requests itself, so a
 // malformed request is bounced at the edge without spending a backend
 // exchange.

@@ -34,9 +34,6 @@ type Options struct {
 	// UphillQuota is the number of cost-increasing moves accepted at the
 	// start of each trial before the search turns downhill-only.
 	UphillQuota int
-	// MaxUphillDelta caps how much a single accepted uphill move may
-	// worsen the cost (0 picks a default tied to the mux weight).
-	MaxUphillDelta int
 
 	// EnableSegments allows different segments of a value to live in
 	// different registers (moves R1/R2 and piecewise initial binding).
@@ -51,26 +48,21 @@ type Options struct {
 	// approach the paper tried first and found inferior; kept as an
 	// ablation.
 	Anneal bool
-	// AnnealT0 is the initial temperature when Anneal is set.
-	AnnealT0 float64
-	// AnnealCool is the geometric cooling factor applied to the
-	// temperature after each trial when Anneal is set. It must lie in
-	// (0, 1); the zero value selects DefaultAnnealCool.
-	AnnealCool float64
 
-	// Paranoid re-validates the binding after every accepted move and,
-	// on the incremental path, asserts the delta cost of every accepted
-	// move equals a from-scratch evaluation (tests only; slows
-	// allocation down).
+	// Paranoid checks every move of the search against the reference
+	// semantics (tests and crosscheck only; slows allocation down):
+	//   - every applied move's delta cost, accepted or not, must equal
+	//     a from-scratch Binding.Eval, checked before the accept
+	//     decision;
+	//   - every Rollback, of a failed apply or a rejected move, must
+	//     restore a binding reflect.DeepEqual to a clone taken before
+	//     Begin, and the pre-move cost;
+	//   - every committed binding must pass Binding.Check, as must the
+	//     polished result.
+	// By induction over moves these imply that the search follows the
+	// same trajectory a clone-and-reevaluate search would, and a
+	// failure names the first move that diverges.
 	Paranoid bool
-
-	// CloneEval switches the inner move loop back to the legacy
-	// clone-and-reevaluate path: every candidate move is applied to a
-	// fresh clone and costed with a full evaluation. The default
-	// in-place transactional path is byte-identical and much faster;
-	// the clone path is kept as the differential reference the
-	// crosscheck pipeline and fuzzers compare against.
-	CloneEval bool
 
 	// Initial, when set, warm-starts improvement from an existing legal
 	// binding (e.g. a traditional-model result) instead of running the
@@ -79,10 +71,6 @@ type Options struct {
 	// extended result never loses to the baseline it started from.
 	Initial *binding.Binding
 }
-
-// DefaultAnnealCool is the geometric cooling factor used when
-// Options.AnnealCool is left zero.
-const DefaultAnnealCool = 0.85
 
 // SALSAOptions returns the full extended-binding-model configuration.
 func SALSAOptions(seed int64) Options {
@@ -96,8 +84,6 @@ func SALSAOptions(seed int64) Options {
 		EnableSegments: true,
 		EnablePass:     true,
 		EnableSplit:    true,
-		AnnealT0:       8,
-		AnnealCool:     DefaultAnnealCool,
 	}
 }
 
@@ -147,12 +133,6 @@ func Allocate(a *lifetime.Analysis, hw *datapath.Hardware, opts Options) (*Resul
 func AllocateControlled(a *lifetime.Analysis, hw *datapath.Hardware, opts Options, ctl *Control) (*Result, error) {
 	if opts.MaxTrials == 0 {
 		opts = withDefaults(opts)
-	}
-	if opts.AnnealCool == 0 {
-		opts.AnnealCool = DefaultAnnealCool
-	}
-	if opts.AnnealCool <= 0 || opts.AnnealCool >= 1 {
-		return nil, fmt.Errorf("core: AnnealCool %v outside (0, 1)", opts.AnnealCool)
 	}
 	if ctx := ctl.ctx(); ctx != nil {
 		// Cancelled before any legal allocation exists: nothing to
@@ -231,14 +211,7 @@ func withDefaults(o Options) Options {
 	d.EnableSplit = o.EnableSplit
 	d.Anneal = o.Anneal
 	d.Paranoid = o.Paranoid
-	d.CloneEval = o.CloneEval
 	d.Initial = o.Initial
-	if o.AnnealT0 != 0 {
-		d.AnnealT0 = o.AnnealT0
-	}
-	if o.AnnealCool != 0 {
-		d.AnnealCool = o.AnnealCool
-	}
 	return d
 }
 

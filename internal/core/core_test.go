@@ -201,46 +201,6 @@ func TestAnnealModeRuns(t *testing.T) {
 	}
 }
 
-func TestAnnealCoolValidation(t *testing.T) {
-	g := workloads.Tseng()
-	a, hw := setup(t, g, 1, 1, false)
-	for _, bad := range []float64{-0.5, 1, 1.5} {
-		o := quickOpts(11)
-		o.Anneal = true
-		o.AnnealCool = bad
-		if _, err := Allocate(a, hw, o); err == nil {
-			t.Errorf("AnnealCool=%v: want validation error, got nil", bad)
-		}
-	}
-}
-
-func TestAnnealCoolConfigurable(t *testing.T) {
-	g := workloads.Tseng()
-	a, hw := setup(t, g, 1, 1, false)
-	// Zero value must select the default and behave identically to the
-	// explicit default.
-	run := func(cool float64) *Result {
-		o := quickOpts(11)
-		o.Anneal = true
-		o.AnnealCool = cool
-		res, err := Allocate(a, hw, o)
-		if err != nil {
-			t.Fatalf("AnnealCool=%v: %v", cool, err)
-		}
-		if err := res.Binding.Check(); err != nil {
-			t.Fatalf("AnnealCool=%v: result illegal: %v", cool, err)
-		}
-		return res
-	}
-	zero, dflt := run(0), run(DefaultAnnealCool)
-	if zero.Cost != dflt.Cost || zero.MovesAccepted != dflt.MovesAccepted {
-		t.Errorf("zero AnnealCool diverges from DefaultAnnealCool: %+v vs %+v", zero.Cost, dflt.Cost)
-	}
-	// A sharply different cooling schedule still yields a legal result.
-	run(0.3)
-	run(0.99)
-}
-
 func TestAllocateBestPicksCheapest(t *testing.T) {
 	g := workloads.FIR8()
 	a, hw := setup(t, g, 2, 1, false)
@@ -313,23 +273,25 @@ func TestMoveKindsAllFire(t *testing.T) {
 	rng := newRNG(9)
 	m := newMover(b, opts, rng)
 	fired := make(map[moveKind]int)
-	cur := b
-	tx := binding.NewScratchTx(cur)
+	tx, err := binding.NewTx(b)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 4000; i++ {
 		kind := m.pickKind()
-		cand := cur.Clone()
-		tx.Retarget(cand)
+		tx.Begin()
 		if !m.apply(tx, kind) {
+			tx.Rollback()
 			continue
 		}
-		if err := cand.Check(); err != nil {
+		if err := b.Check(); err != nil {
 			t.Fatalf("move %v produced illegal binding: %v", kind, err)
 		}
-		if _, _, err := cand.Eval(); err != nil {
+		if _, _, err := b.Eval(); err != nil {
 			t.Fatalf("move %v produced unevaluable binding: %v", kind, err)
 		}
+		tx.Commit()
 		fired[kind]++
-		cur = cand
 	}
 	for k := moveKind(0); k < numMoveKinds; k++ {
 		if fired[k] == 0 {

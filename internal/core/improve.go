@@ -1,18 +1,29 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"reflect"
 
 	"salsa/internal/binding"
 )
 
 // cancelCheckStride is how many moves pass between context polls; a
-// move costs at most a few dirty-sink replays (or a clone plus full
-// evaluation on the reference path), so checking every few moves keeps
-// cancellation latency in the microseconds without measurable overhead
-// on the hot path.
+// move costs at most a few dirty-sink replays, so checking every few
+// moves keeps cancellation latency in the microseconds without
+// measurable overhead on the hot path.
 const cancelCheckStride = 32
+
+// Fixed search constants. An accepted uphill move may worsen the cost
+// by at most the mux weight plus uphillSlack. Annealing, kept only as
+// an ablation, starts at temperature annealT0 and cools geometrically
+// by annealCool after each trial.
+const (
+	uphillSlack = 2
+	annealT0    = 8.0
+	annealCool  = 0.85
+)
 
 // improve runs the paper's iterative improvement scheme (§4): several
 // trials, each attempting a fixed number of random moves; cost-
@@ -25,15 +36,15 @@ const cancelCheckStride = 32
 // Moves run as in-place transactions: the mover mutates the current
 // binding through a binding.Tx, the cost delta is recomputed from only
 // the sinks the move perturbed, and rejected moves roll back. With
-// opts.CloneEval the legacy clone-and-reevaluate path runs instead —
-// the same mover code against a scratch transaction on a fresh clone,
-// so both paths draw identical random sequences and produce
-// byte-identical results (the crosscheck pipeline asserts this).
+// opts.Paranoid every move is checked against the reference semantics
+// (see checkDelta and checkRollback), so the first move whose delta or
+// undo is wrong is named rather than surfacing later as a differing
+// result.
 //
 // With opts.Anneal the acceptance rule switches to simulated annealing
-// (Metropolis criterion with geometric cooling by opts.AnnealCool
-// across trials) — the approach the paper reports as inferior; it is
-// retained as an ablation.
+// (Metropolis criterion with geometric cooling across trials) — the
+// approach the paper reports as inferior; it is retained as an
+// ablation.
 //
 // ctl supplies anytime semantics: context cancellation is polled
 // between moves and the TrialEnd hook may stop the search at any trial
@@ -49,24 +60,16 @@ func improve(b *binding.Binding, initCost binding.Cost, opts Options, ctl *Contr
 	best := b.Clone()
 	bestCost := initCost
 
-	var tx *binding.Tx
-	var err error
-	if opts.CloneEval {
-		tx = binding.NewScratchTx(cur)
-	} else {
-		if tx, err = binding.NewTx(cur); err != nil {
-			return nil, fmt.Errorf("core: initial allocation unevaluable: %w", err)
-		}
+	tx, err := binding.NewTx(cur)
+	if err != nil {
+		return nil, fmt.Errorf("core: initial allocation unevaluable: %w", err)
 	}
 
 	stop := StopNatural
 	trials, tried, accepted := 0, 0, 0
 	stall := 0
-	temp := opts.AnnealT0
-	maxUp := opts.MaxUphillDelta
-	if maxUp <= 0 {
-		maxUp = opts.Cfg.Wmux + 2
-	}
+	temp := annealT0
+	maxUp := opts.Cfg.Wmux + uphillSlack
 search:
 	for trial := 0; trial < opts.MaxTrials; trial++ {
 		trials++
@@ -75,10 +78,8 @@ search:
 			// the uphill quota explores around it instead of drifting.
 			cur = best.Clone()
 			curCost = bestCost
-			if !opts.CloneEval {
-				if err := tx.Reset(cur); err != nil {
-					return nil, fmt.Errorf("core: trial restart unevaluable: %w", err)
-				}
+			if err := tx.Reset(cur); err != nil {
+				return nil, fmt.Errorf("core: trial restart unevaluable: %w", err)
 			}
 		}
 		uphillLeft := opts.UphillQuota
@@ -91,29 +92,27 @@ search:
 			tried++
 			kind := mv.pickKind()
 
-			var cand *binding.Binding
-			var cost binding.Cost
-			if opts.CloneEval {
-				cand = cur.Clone()
-				tx.Retarget(cand)
-				if !mv.apply(tx, kind) {
-					continue
+			var pre *binding.Binding
+			if opts.Paranoid {
+				pre = cur.Clone()
+			}
+			tx.Begin()
+			if !mv.apply(tx, kind) {
+				tx.Rollback()
+				if err := checkRollback(tx, pre, curCost); err != nil {
+					return nil, paranoidErr(trial, i, kind, err)
 				}
-				var err error
-				if _, cost, err = cand.Eval(); err != nil {
-					// A move produced an unevaluable binding: a bug, not
-					// a search dead end.
-					return nil, fmt.Errorf("core: move produced illegal binding: %w", err)
-				}
-			} else {
-				tx.Begin()
-				if !mv.apply(tx, kind) {
-					tx.Rollback()
-					continue
-				}
-				var err error
-				if cost, err = tx.DeltaCost(); err != nil {
-					return nil, fmt.Errorf("core: move produced illegal binding: %w", err)
+				continue
+			}
+			cost, err := tx.DeltaCost()
+			if err != nil {
+				// A move produced an unevaluable binding: a bug, not a
+				// search dead end.
+				return nil, fmt.Errorf("core: move produced illegal binding: %w", err)
+			}
+			if opts.Paranoid {
+				if err := checkDelta(cur, cost); err != nil {
+					return nil, paranoidErr(trial, i, kind, err)
 				}
 			}
 
@@ -129,31 +128,16 @@ search:
 				accept = true
 			}
 			if !accept {
-				if !opts.CloneEval {
-					tx.Rollback()
+				tx.Rollback()
+				if err := checkRollback(tx, pre, curCost); err != nil {
+					return nil, paranoidErr(trial, i, kind, err)
 				}
 				continue
 			}
-			if opts.CloneEval {
-				cur = cand
-			} else {
-				tx.Commit()
-			}
+			tx.Commit()
 			if opts.Paranoid {
 				if err := cur.Check(); err != nil {
-					return nil, fmt.Errorf("core: accepted illegal binding: %w", err)
-				}
-				if !opts.CloneEval {
-					// The tentpole invariant: the incrementally
-					// maintained cost of every accepted move must equal
-					// a from-scratch evaluation.
-					_, full, err := cur.Eval()
-					if err != nil {
-						return nil, fmt.Errorf("core: accepted unevaluable binding: %w", err)
-					}
-					if full != cost {
-						return nil, fmt.Errorf("core: move %v: delta cost %+v != full evaluation %+v", kind, cost, full)
-					}
+					return nil, paranoidErr(trial, i, kind, fmt.Errorf("accepted illegal binding: %w", err))
 				}
 			}
 			accepted++
@@ -165,7 +149,7 @@ search:
 			}
 		}
 		if opts.Anneal {
-			temp *= opts.AnnealCool
+			temp *= annealCool
 		}
 		if ctl.trialEnd(trial, best, bestCost, improved, tried, accepted) {
 			stop = StopPruned
@@ -190,6 +174,42 @@ search:
 	res.MovesAccepted = accepted
 	res.Stop = stop
 	return res, nil
+}
+
+// paranoidErr names the move a Paranoid check failed on.
+func paranoidErr(trial, move int, kind moveKind, err error) error {
+	return fmt.Errorf("core: paranoid: trial %d move %d (%v): %w", trial, move, kind, err)
+}
+
+// checkDelta is Paranoid's cost oracle, run on every applied move
+// before the accept decision: the incrementally maintained cost must
+// equal a from-scratch evaluation of the same binding.
+func checkDelta(b *binding.Binding, delta binding.Cost) error {
+	_, full, err := b.Eval()
+	if err != nil {
+		return fmt.Errorf("delta cost %+v but full evaluation fails: %w", delta, err)
+	}
+	if full != delta {
+		return fmt.Errorf("delta cost %+v != full evaluation %+v", delta, full)
+	}
+	return nil
+}
+
+// checkRollback is Paranoid's undo oracle, run after every Rollback: the
+// binding must be exactly the clone taken before Begin and the
+// transaction's cost back at its pre-move value. A nil pre (Paranoid
+// off) checks nothing.
+func checkRollback(tx *binding.Tx, pre *binding.Binding, preCost binding.Cost) error {
+	if pre == nil {
+		return nil
+	}
+	if !reflect.DeepEqual(tx.B(), pre) {
+		return errors.New("rollback did not restore the pre-move binding")
+	}
+	if got := tx.Cost(); got != preCost {
+		return fmt.Errorf("rollback left cost %+v, want %+v", got, preCost)
+	}
+	return nil
 }
 
 // Finalize applies the deterministic downhill polish over the

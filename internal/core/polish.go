@@ -21,7 +21,7 @@ import (
 // is applied in place, costed from its dirty sinks, and rolled back
 // unless it improves — the same delta==full invariant the search's
 // inner loop relies on, so the accepted sequence (and therefore the
-// result) is identical to the historical clone-and-reevaluate sweep.
+// result) is identical to a sweep that fully evaluates every candidate.
 func polish(b *binding.Binding, cost binding.Cost, opts Options) (*binding.Binding, binding.Cost, *datapath.Interconnect) {
 	best := b.Clone()
 	tx, err := binding.NewTx(best)
@@ -32,8 +32,8 @@ func polish(b *binding.Binding, cost binding.Cost, opts Options) (*binding.Bindi
 
 	// try closes the candidate move currently open on tx: commit when
 	// it strictly improves, roll back otherwise. A delta-evaluation
-	// error means the candidate was illegal — discarded exactly as the
-	// clone path discarded candidates whose Eval failed.
+	// error means the candidate was illegal — discarded exactly as a
+	// candidate whose full Eval fails.
 	try := func() bool {
 		candCost, err := tx.DeltaCost()
 		if err == nil && candCost.Total < bestCost.Total {

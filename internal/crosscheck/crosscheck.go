@@ -13,10 +13,10 @@
 //     both allocations against the CDFG reference semantics;
 //   - the emitted RTL is parsed back and re-simulated at the gate level
 //     (internal/vsim.VerifyBinding);
-//   - the whole extended portfolio is re-run on the legacy
-//     clone-and-reevaluate path (core.Options.CloneEval) and must
-//     reproduce the transactional path's winning binding byte for byte
-//     at identical cost;
+//   - the whole extended portfolio is re-run with core.Options.Paranoid,
+//     which checks every move's delta cost against a from-scratch
+//     evaluation and every rollback against a pre-move clone, and must
+//     reproduce the winning binding byte for byte at identical cost;
 //   - the whole extended portfolio is re-run under a different engine
 //     worker count and must reproduce the winning binding byte for
 //     byte.
@@ -68,7 +68,7 @@ const (
 	StageDpsim       = "dpsim"
 	StageDpsimTrad   = "dpsim-traditional"
 	StageVsim        = "vsim"
-	StageIncremental = "incremental-vs-clone"
+	StageParanoid    = "paranoid"
 	StageDeterminism = "determinism"
 )
 
@@ -89,10 +89,6 @@ type Config struct {
 	// DisableDeterminism skips the second engine run under a different
 	// worker count (the most expensive stage).
 	DisableDeterminism bool
-	// DisableIncremental skips the clone-path re-run that asserts the
-	// transactional delta-cost search reproduces the legacy
-	// clone-and-reevaluate search byte for byte.
-	DisableIncremental bool
 	// Inject, when non-nil, corrupts a clone of the extended-model
 	// binding before the re-verification stages. It exists so tests and
 	// the salsafuzz -inject flag can prove the oracle catches (and the
@@ -261,28 +257,33 @@ func (cfg Config) Run(seed int64, cs *randgraph.Case) *Report {
 		return fail(StageVsim, "%v", err)
 	}
 
-	if !cfg.DisableIncremental {
-		// The same portfolio on the legacy clone-and-reevaluate path
-		// must retrace the transactional search move for move: the two
-		// draw identical random sequences and the delta cost of every
-		// move equals a full evaluation, so any divergence in the
-		// winning binding or its cost is an incremental-evaluation bug.
-		cloneJobs := make([]engine.Job, len(jobs))
-		copy(cloneJobs, jobs)
-		for i := range cloneJobs {
-			cloneJobs[i].Opts.CloneEval = true
+	// The same portfolio under Paranoid checks every move of every
+	// search against a from-scratch evaluation and a pre-move clone,
+	// naming the first move whose delta cost or rollback is wrong. The
+	// checks draw no randomness, so the re-run must also reproduce the
+	// winning binding and its cost.
+	paranoidJobs := make([]engine.Job, len(jobs))
+	copy(paranoidJobs, jobs)
+	for i := range paranoidJobs {
+		paranoidJobs[i].Opts.Paranoid = true
+	}
+	paranoidRes, st, err := engine.Run(nil, a, hw, paranoidJobs, engine.Config{Workers: 1})
+	if err != nil {
+		return fail(StageParanoid, "%v", err)
+	}
+	// The engine drops a failed job when another one succeeds; under
+	// Paranoid a failed job is a finding.
+	for _, jr := range st.PerJob {
+		if jr.Err != nil {
+			return fail(StageParanoid, "job %s: %v", jr.Label, jr.Err)
 		}
-		cloneRes, _, err := engine.Run(nil, a, hw, cloneJobs, engine.Config{Workers: 1})
-		if err != nil {
-			return fail(StageIncremental, "clone-path re-run failed: %v", err)
-		}
-		if cloneRes.Cost != salsaRes.Cost {
-			return fail(StageIncremental, "clone path cost %+v, incremental path cost %+v",
-				cloneRes.Cost, salsaRes.Cost)
-		}
-		if f1, f2 := Fingerprint(salsaRes.Binding), Fingerprint(cloneRes.Binding); f1 != f2 {
-			return fail(StageIncremental, "winning binding differs between incremental and clone paths:\n  incremental: %s\n  clone:       %s", f1, f2)
-		}
+	}
+	if paranoidRes.Cost != salsaRes.Cost {
+		return fail(StageParanoid, "paranoid re-run cost %+v, search cost %+v",
+			paranoidRes.Cost, salsaRes.Cost)
+	}
+	if f1, f2 := Fingerprint(salsaRes.Binding), Fingerprint(paranoidRes.Binding); f1 != f2 {
+		return fail(StageParanoid, "winning binding differs under Paranoid:\n  search:   %s\n  paranoid: %s", f1, f2)
 	}
 
 	if !cfg.DisableDeterminism {

@@ -15,10 +15,10 @@ import (
 )
 
 // fastConfig keeps unit-test runtime low; the full-stage configuration
-// (including the incremental-vs-clone and worker-count re-runs) is
-// exercised by TestSeedsClean and the salsafuzz CI smoke run.
+// (including the worker-count re-run) is exercised by TestSeedsClean
+// and the salsafuzz CI smoke run.
 func fastConfig() Config {
-	return Config{DisableDeterminism: true, DisableIncremental: true}
+	return Config{DisableDeterminism: true}
 }
 
 // TestSeedsClean runs the complete oracle (all stages, including the

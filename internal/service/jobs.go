@@ -1,6 +1,7 @@
 package service
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"sync"
@@ -220,16 +221,20 @@ func newJobRegistry(maxJobs int, clk clock.Clock) *jobRegistry {
 	return &jobRegistry{jobs: make(map[string]*job), maxJobs: maxJobs, clk: clk}
 }
 
-// create registers a fresh queued job keyed by a sequence number and
-// the request fingerprint prefix (readable, unique per process).
-func (r *jobRegistry) create(fingerprint string) (*job, error) {
+// create registers a fresh queued job. Its ID is a sequence number
+// (unique per process) plus 12 hex digits of the SHA-256 of the
+// request's content key, so the ID names the request, not just its
+// graph: a router polling other shards for a lost job can only match a
+// job of an identical request, whose result bytes are the same.
+func (r *jobRegistry) create(key string) (*job, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(r.jobs) >= r.maxJobs {
 		return nil, fmt.Errorf("job registry full (%d jobs)", r.maxJobs)
 	}
 	r.seq++
-	j := &job{id: fmt.Sprintf("j%d-%.12s", r.seq, fingerprint), clk: r.clk, created: r.clk.Now(), state: jobQueued}
+	sum := sha256.Sum256([]byte(key))
+	j := &job{id: fmt.Sprintf("j%d-%x", r.seq, sum[:6]), clk: r.clk, created: r.clk.Now(), state: jobQueued}
 	r.jobs[j.id] = j
 	return j, nil
 }
@@ -265,7 +270,7 @@ func (r *jobRegistry) remove(id string) {
 	delete(r.jobs, id)
 }
 
-// parseJobSeq extracts N from a "jN-<fingerprint>" job ID.
+// parseJobSeq extracts N from a "jN-<suffix>" job ID.
 func parseJobSeq(id string) (int, bool) {
 	var seq int
 	var rest string
