@@ -16,7 +16,8 @@
 // merge base, then gates the PR with:
 //
 //	benchdiff -old base.txt -new pr.txt \
-//	    -gate 'BenchmarkAllocateParallel_(EWF|DCT)_' -max-regress 10 \
+//	    -gate 'BenchmarkAllocateParallel_(EWF|DCT)_|BenchmarkScale_Synth(50|100|200)$' \
+//	    -max-regress 10 \
 //	    -json BENCH_incremental.json
 //
 // Exit codes: 0 ok, 1 gated regression, 2 usage or parse error.

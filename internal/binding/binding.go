@@ -14,6 +14,7 @@ package binding
 
 import (
 	"fmt"
+	"slices"
 
 	"salsa/internal/cdfg"
 	"salsa/internal/datapath"
@@ -39,12 +40,6 @@ func DefaultConfig() Config {
 	return Config{WfuALU: 2, WfuMul: 16, Wreg: 1, Wmux: 10}
 }
 
-// SegKey identifies one chain position of a value.
-type SegKey struct {
-	V lifetime.ValueID
-	K int
-}
-
 // TransferKey identifies a register-to-register data transfer: the
 // write of value V's chain position K into register ToReg (from some
 // register holding V at K-1).
@@ -67,9 +62,13 @@ type Binding struct {
 	// SegReg assigns each value's chain positions their primary
 	// register: SegReg[v][k].
 	SegReg [][]int
-	// Copies lists extra registers holding a value at a chain position
-	// (moves R5/R6). Keys with empty slices must not be stored.
-	Copies map[SegKey][]int
+	// Copies lists the extra registers holding a value at a chain
+	// position (moves R5/R6): Copies[v][k]. Empty is nil at both levels
+	// — a value without copies has a nil row, a position without copies
+	// a nil slice — so bindings with the same copies are
+	// reflect.DeepEqual and copy-free values cost nothing. Index it
+	// through CopiesAt.
+	Copies [][][]int
 	// Pass binds a transfer to a pass-through FU (moves F4/F5).
 	Pass map[TransferKey]int
 
@@ -88,7 +87,7 @@ func New(a *lifetime.Analysis, hw *datapath.Hardware, cfg Config) *Binding {
 		OpFU:        make([]int, len(g.Nodes)),
 		OpSwap:      make([]bool, len(g.Nodes)),
 		SegReg:      make([][]int, len(a.Values)),
-		Copies:      make(map[SegKey][]int),
+		Copies:      make([][][]int, len(a.Values)),
 		Pass:        make(map[TransferKey]int),
 		inputIndex:  make(map[cdfg.NodeID]int),
 		outputIndex: make(map[cdfg.NodeID]int),
@@ -128,9 +127,15 @@ func (b *Binding) Clone() *Binding {
 	for i := range b.SegReg {
 		nb.SegReg[i] = append([]int(nil), b.SegReg[i]...)
 	}
-	nb.Copies = make(map[SegKey][]int, len(b.Copies))
-	for k, v := range b.Copies {
-		nb.Copies[k] = append([]int(nil), v...)
+	nb.Copies = make([][][]int, len(b.Copies))
+	for v, row := range b.Copies {
+		if row == nil {
+			continue
+		}
+		nb.Copies[v] = make([][]int, len(row))
+		for k, cs := range row {
+			nb.Copies[v][k] = append([]int(nil), cs...) // nil when cs is empty
+		}
 	}
 	nb.Pass = make(map[TransferKey]int, len(b.Pass))
 	for k, v := range b.Pass {
@@ -145,11 +150,20 @@ func (b *Binding) InputIndexOf(n cdfg.NodeID) int { return b.inputIndex[n] }
 // OutputIndexOf returns the external port index of an Output node.
 func (b *Binding) OutputIndexOf(n cdfg.NodeID) int { return b.outputIndex[n] }
 
+// CopiesAt returns the copy registers of value v at chain position k,
+// nil when there are none. The slice must not be mutated.
+func (b *Binding) CopiesAt(v lifetime.ValueID, k int) []int {
+	if row := b.Copies[v]; row != nil {
+		return row[k]
+	}
+	return nil
+}
+
 // HoldersAt returns the registers holding value v at chain position k:
-// the primary register first, then copies in ascending order. The
-// returned slice must not be mutated.
+// the primary register first, then copies in the order they were
+// added. The returned slice is freshly allocated.
 func (b *Binding) HoldersAt(v lifetime.ValueID, k int) []int {
-	copies := b.Copies[SegKey{v, k}]
+	copies := b.CopiesAt(v, k)
 	out := make([]int, 0, 1+len(copies))
 	out = append(out, b.SegReg[v][k])
 	out = append(out, copies...)
@@ -161,7 +175,7 @@ func (b *Binding) HeldIn(v lifetime.ValueID, k, r int) bool {
 	if b.SegReg[v][k] == r {
 		return true
 	}
-	for _, c := range b.Copies[SegKey{v, k}] {
+	for _, c := range b.CopiesAt(v, k) {
 		if c == r {
 			return true
 		}
@@ -211,7 +225,7 @@ func (b *Binding) regOccupancyInto(occ [][]lifetime.ValueID) error {
 			if err := claim(b.SegReg[i][k], t, v.ID); err != nil {
 				return err
 			}
-			for _, c := range b.Copies[SegKey{v.ID, k}] {
+			for _, c := range b.CopiesAt(v.ID, k) {
 				if err := claim(c, t, v.ID); err != nil {
 					return err
 				}
@@ -426,34 +440,54 @@ func (b *Binding) PrunePass() int {
 // AddCopy records a copy of value v's chain position k in register r.
 // Legality (register free) is the caller's responsibility.
 func (b *Binding) AddCopy(v lifetime.ValueID, k, r int) {
-	key := SegKey{v, k}
-	b.Copies[key] = append(b.Copies[key], r)
+	b.insertCopyAt(v, k, len(b.CopiesAt(v, k)), r)
 }
 
 // RemoveCopy deletes the copy of (v, k) in register r, reporting whether
 // it existed.
 func (b *Binding) RemoveCopy(v lifetime.ValueID, k, r int) bool {
-	key := SegKey{v, k}
-	cs := b.Copies[key]
-	for i, c := range cs {
+	for i, c := range b.CopiesAt(v, k) {
 		if c == r {
-			cs = append(cs[:i], cs[i+1:]...)
-			if len(cs) == 0 {
-				delete(b.Copies, key)
-			} else {
-				b.Copies[key] = cs
-			}
+			b.dropCopyAt(v, k, i)
 			return true
 		}
 	}
 	return false
 }
 
+// dropCopyAt deletes the i-th copy of (v, k), keeping an emptied
+// position, and an emptied row, nil.
+func (b *Binding) dropCopyAt(v lifetime.ValueID, k, i int) {
+	row := b.Copies[v]
+	cs := append(row[k][:i], row[k][i+1:]...)
+	if len(cs) > 0 {
+		row[k] = cs
+		return
+	}
+	row[k] = nil
+	for _, cs := range row {
+		if cs != nil {
+			return
+		}
+	}
+	b.Copies[v] = nil
+}
+
+// insertCopyAt makes register r the i-th copy of (v, k).
+func (b *Binding) insertCopyAt(v lifetime.ValueID, k, i, r int) {
+	if b.Copies[v] == nil {
+		b.Copies[v] = make([][]int, len(b.SegReg[v]))
+	}
+	b.Copies[v][k] = slices.Insert(b.Copies[v][k], i, r)
+}
+
 // NumCopies returns the total number of copy segments.
 func (b *Binding) NumCopies() int {
 	n := 0
-	for _, cs := range b.Copies {
-		n += len(cs)
+	for _, row := range b.Copies {
+		for _, cs := range row {
+			n += len(cs)
+		}
 	}
 	return n
 }

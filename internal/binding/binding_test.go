@@ -436,8 +436,8 @@ func TestCloneIsDeep(t *testing.T) {
 	if b.OpFU[2] == -1 || b.SegReg[0][0] == 99 {
 		t.Error("Clone shares slices with the original")
 	}
-	if len(b.Copies[SegKey{0, 0}]) != 1 {
-		t.Error("Clone shares the Copies map")
+	if len(b.CopiesAt(0, 0)) != 1 {
+		t.Error("Clone shares the Copies slices")
 	}
 	if len(b.Pass) != 0 {
 		t.Error("Clone shares the Pass map")

@@ -40,7 +40,7 @@ func (b *Binding) Eval() (*datapath.Interconnect, Cost, error) {
 		if ic.HasSource(sink, datapath.Source{Kind: datapath.SrcReg, Index: primary}) {
 			return primary
 		}
-		for _, c := range b.Copies[SegKey{v, k}] {
+		for _, c := range b.CopiesAt(v, k) {
 			if ic.HasSource(sink, datapath.Source{Kind: datapath.SrcReg, Index: c}) {
 				return c
 			}
@@ -214,9 +214,11 @@ func (b *Binding) costOf(ic *datapath.Interconnect) Cost {
 			}
 		}
 	}
-	for _, cs := range b.Copies {
-		for _, r := range cs {
-			regUsed[r] = true
+	for _, row := range b.Copies {
+		for _, cs := range row {
+			for _, r := range cs {
+				regUsed[r] = true
+			}
 		}
 	}
 	for _, u := range regUsed {

@@ -1,7 +1,9 @@
 package binding
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
 	"salsa/internal/cdfg"
 	"salsa/internal/datapath"
@@ -22,20 +24,43 @@ import (
 // of the ordered use-events targeting that sink alone. A mutator marks
 // every sink whose event sequence its change can alter; unmarked sinks
 // keep their event sequences and therefore their exact fanins.
+//
+// Tx also owns the dense search state derived from the binding — the
+// register occupancy grid, the per-FU operator lists and the use
+// counts — and keeps it current under every mutator and its undo, so
+// legality probes and sink replays read it instead of rescanning.
 type Tx struct {
 	b *Binding
 
 	ct *datapath.CostTable
 	ns datapath.NetScratch
 
-	// fuArith and fuPass count, per FU, the bound operators and
-	// pass-throughs making it "used"; regCnt counts segments (primary
-	// and copies) per register. The derived terms mirror costOf.
-	fuArith, fuPass []int
-	regCnt          []int
-	fusUsed         int
-	fuArea          int
-	regsUsed        int
+	// fuOps lists, per FU, the bound arithmetic nodes in node order (the
+	// order Eval visits their operand reads); fuPass counts the
+	// pass-throughs bound per FU and valPass those carrying each value's
+	// transfers. regCnt counts segments (primary and copies) per
+	// register. The derived terms mirror costOf.
+	fuOps    [][]cdfg.NodeID
+	fuPass   []int
+	valPass  []int
+	regCnt   []int
+	fusUsed  int
+	fuArea   int
+	regsUsed int
+
+	// occ is the live register×step occupancy grid: occ[r][t] is the
+	// value holding register r at step t, NoValue when the cell is free
+	// or over-claimed. claims and claimSum (flat, r*StorageSteps+t)
+	// count each cell's claims and sum the claimants' IDs, so a cell
+	// brought back to one claim — by a later mutation or a rollback —
+	// recovers its holder without a rescan. conflicts counts cells with
+	// two or more claims, oob claims of registers outside the budget;
+	// the grid is exact and the assignment legal iff both are zero.
+	occ       [][]lifetime.ValueID
+	claims    []int32
+	claimSum  []int
+	conflicts int
+	oob       int
 
 	dirty     []bool
 	dirtyList []int
@@ -44,8 +69,6 @@ type Tx struct {
 	costUndo []costRec
 	inMove   bool
 
-	occBuf  [][]lifetime.ValueID
-	occOK   bool
 	fuocc   FUOccupancy
 	fuoccOK bool
 
@@ -90,11 +113,17 @@ type passEv struct {
 }
 
 // segPos is one (value, chain position) pair held by a register,
-// recovered from the occupancy table during register-sink replay.
+// recovered from the occupancy grid during register-sink replay.
 type segPos struct {
 	v lifetime.ValueID
 	k int
 }
+
+// ErrRegConflict is the error Occ and OccLegal return while two
+// segments claim one register at one step, or a segment uses a
+// register outside the budget. Binding.RegOccupancy and Check name the
+// values and the register instead.
+var ErrRegConflict = errors.New("binding: register occupancy conflict")
 
 // NewTx builds an incremental transaction over b, evaluating it once to
 // seed the cost tables.
@@ -109,14 +138,14 @@ func NewTx(b *Binding) (*Tx, error) {
 // B returns the binding under transaction.
 func (t *Tx) B() *Binding { return t.b }
 
-// Reset re-seeds the transaction from b's current state: use
-// counts are recomputed and the per-sink cost table is filled from one
-// full evaluation. The search calls it once per trial restart, so its
-// cost amortizes over the trial's moves.
+// Reset re-seeds the transaction from b's current state: the derived
+// state is rebuilt and the per-sink cost table is filled from one full
+// evaluation. The search calls it once per trial restart, so its cost
+// amortizes over the trial's moves.
 func (t *Tx) Reset(b *Binding) error {
 	t.b = b
 	t.ensureShape()
-	t.occOK, t.fuoccOK = false, false
+	t.fuoccOK = false
 	t.undo = t.undo[:0]
 	t.costUndo = t.costUndo[:0]
 	for _, idx := range t.dirtyList {
@@ -124,39 +153,7 @@ func (t *Tx) Reset(b *Binding) error {
 	}
 	t.dirtyList = t.dirtyList[:0]
 	t.inMove = false
-
-	for f := range t.fuArith {
-		t.fuArith[f], t.fuPass[f] = 0, 0
-	}
-	for r := range t.regCnt {
-		t.regCnt[r] = 0
-	}
-	t.fusUsed, t.fuArea, t.regsUsed = 0, 0, 0
-	g := b.A.Sched.G
-	for i := range g.Nodes {
-		if g.Nodes[i].Op.IsArith() {
-			if f := b.OpFU[i]; f >= 0 {
-				t.incArith(f)
-			}
-		}
-	}
-	//lint:maporder keyed count increments; the totals are order-free
-	for _, f := range b.Pass {
-		t.incPass(f)
-	}
-	for i := range b.SegReg {
-		for _, r := range b.SegReg[i] {
-			if r >= 0 {
-				t.incReg(r)
-			}
-		}
-	}
-	//lint:maporder keyed count increments; the totals are order-free
-	for _, cs := range b.Copies {
-		for _, r := range cs {
-			t.incReg(r)
-		}
-	}
+	t.scan()
 
 	ic, _, err := b.Eval()
 	if err != nil {
@@ -171,6 +168,50 @@ func (t *Tx) Reset(b *Binding) error {
 	return nil
 }
 
+// scan rebuilds the derived state — use counts, operator lists and the
+// occupancy grid — from the binding alone.
+func (t *Tx) scan() {
+	b := t.b
+	for f := range t.fuOps {
+		t.fuOps[f] = t.fuOps[f][:0]
+		t.fuPass[f] = 0
+	}
+	clear(t.valPass)
+	clear(t.regCnt)
+	t.fusUsed, t.fuArea, t.regsUsed = 0, 0, 0
+	for r := range t.occ {
+		for c := range t.occ[r] {
+			t.occ[r][c] = lifetime.NoValue
+		}
+	}
+	clear(t.claims)
+	clear(t.claimSum)
+	t.conflicts, t.oob = 0, 0
+
+	g := b.A.Sched.G
+	for i := range g.Nodes {
+		if g.Nodes[i].Op.IsArith() {
+			if f := b.OpFU[i]; f >= 0 {
+				t.addOp(f, cdfg.NodeID(i))
+			}
+		}
+	}
+	//lint:maporder keyed count increments; the totals are order-free
+	for tk, f := range b.Pass {
+		t.incPass(f)
+		t.valPass[tk.V]++
+	}
+	for i := range b.SegReg {
+		v := lifetime.ValueID(i)
+		for k, r := range b.SegReg[i] {
+			t.claim(v, k, r)
+			for _, c := range b.CopiesAt(v, k) {
+				t.claim(v, k, c)
+			}
+		}
+	}
+}
+
 // ensureShape sizes the reusable tables to the binding's hardware and
 // schedule dimensions, reallocating only when they changed.
 func (t *Tx) ensureShape() {
@@ -180,15 +221,20 @@ func (t *Tx) ensureShape() {
 		t.ct = datapath.NewCostTable(nF, nR, nO)
 		t.dirty = make([]bool, t.ct.Len())
 		t.dirtyList = t.dirtyList[:0]
-		t.fuArith = make([]int, nF)
+		t.fuOps = make([][]cdfg.NodeID, nF)
 		t.fuPass = make([]int, nF)
 		t.regCnt = make([]int, nR)
 	}
-	if len(t.occBuf) != nR || (nR > 0 && len(t.occBuf[0]) != b.A.StorageSteps) {
-		t.occBuf = make([][]lifetime.ValueID, nR)
-		for r := range t.occBuf {
-			t.occBuf[r] = make([]lifetime.ValueID, b.A.StorageSteps)
+	if ss := b.A.StorageSteps; len(t.occ) != nR || len(t.claims) != nR*ss {
+		t.occ = make([][]lifetime.ValueID, nR)
+		for r := range t.occ {
+			t.occ[r] = make([]lifetime.ValueID, ss)
 		}
+		t.claims = make([]int32, nR*ss)
+		t.claimSum = make([]int, nR*ss)
+	}
+	if len(t.valPass) != len(b.A.Values) {
+		t.valPass = make([]int, len(b.A.Values))
 	}
 	if len(t.outNode) != nO {
 		t.outNode = make([]cdfg.NodeID, nO)
@@ -243,12 +289,12 @@ func (t *Tx) revert(u *undoRec) {
 	b := t.b
 	switch u.op {
 	case undoOpFU:
-		op, old := u.a, u.b
+		op, old := cdfg.NodeID(u.a), u.b
 		if cur := b.OpFU[op]; cur >= 0 {
-			t.decArith(cur)
+			t.dropOp(cur, op)
 		}
 		if old >= 0 {
-			t.incArith(old)
+			t.addOp(old, op)
 		}
 		b.OpFU[op] = old
 		t.fuoccOK = false
@@ -256,35 +302,17 @@ func (t *Tx) revert(u *undoRec) {
 		b.OpSwap[u.a] = !b.OpSwap[u.a]
 	case undoSegReg:
 		v, k, old := lifetime.ValueID(u.a), u.b, u.c
-		if cur := b.SegReg[v][k]; cur >= 0 {
-			t.decReg(cur)
-		}
-		if old >= 0 {
-			t.incReg(old)
-		}
+		t.release(v, k, b.SegReg[v][k])
+		t.claim(v, k, old)
 		b.SegReg[v][k] = old
-		t.occOK = false
 	case undoAddCopy:
 		v, k, r, pos := lifetime.ValueID(u.a), u.b, u.c, u.d
-		key := SegKey{v, k}
-		cs := b.Copies[key]
-		cs = append(cs[:pos], cs[pos+1:]...)
-		if len(cs) == 0 {
-			delete(b.Copies, key)
-		} else {
-			b.Copies[key] = cs
-		}
-		t.decReg(r)
-		t.occOK = false
+		b.dropCopyAt(v, k, pos)
+		t.release(v, k, r)
 	case undoRemoveCopy:
 		v, k, r, pos := lifetime.ValueID(u.a), u.b, u.c, u.d
-		key := SegKey{v, k}
-		cs := append(b.Copies[key], 0)
-		copy(cs[pos+1:], cs[pos:])
-		cs[pos] = r
-		b.Copies[key] = cs
-		t.incReg(r)
-		t.occOK = false
+		b.insertCopyAt(v, k, pos, r)
+		t.claim(v, k, r)
 	case undoSetPass:
 		old := u.a
 		t.decPass(b.Pass[u.tk])
@@ -293,11 +321,13 @@ func (t *Tx) revert(u *undoRec) {
 		t.fuoccOK = false
 	case undoNewPass:
 		t.decPass(b.Pass[u.tk])
+		t.valPass[u.tk.V]--
 		delete(b.Pass, u.tk)
 		t.fuoccOK = false
 	case undoDelPass:
 		b.Pass[u.tk] = u.a
 		t.incPass(u.a)
+		t.valPass[u.tk.V]++
 		t.fuoccOK = false
 	}
 }
@@ -317,24 +347,31 @@ func (t *Tx) fuWeight(f int) int {
 	return t.b.Cfg.WfuALU
 }
 
-func (t *Tx) incArith(f int) {
-	if t.fuArith[f]+t.fuPass[f] == 0 {
+// addOp lists op on FU f, keeping the list in node order.
+func (t *Tx) addOp(f int, op cdfg.NodeID) {
+	if len(t.fuOps[f])+t.fuPass[f] == 0 {
 		t.fusUsed++
 		t.fuArea += t.fuWeight(f)
 	}
-	t.fuArith[f]++
+	ops := t.fuOps[f]
+	i, _ := slices.BinarySearch(ops, op)
+	t.fuOps[f] = slices.Insert(ops, i, op)
 }
 
-func (t *Tx) decArith(f int) {
-	t.fuArith[f]--
-	if t.fuArith[f]+t.fuPass[f] == 0 {
+// dropOp unlists op from FU f.
+func (t *Tx) dropOp(f int, op cdfg.NodeID) {
+	ops := t.fuOps[f]
+	if i, found := slices.BinarySearch(ops, op); found {
+		t.fuOps[f] = slices.Delete(ops, i, i+1)
+	}
+	if len(t.fuOps[f])+t.fuPass[f] == 0 {
 		t.fusUsed--
 		t.fuArea -= t.fuWeight(f)
 	}
 }
 
 func (t *Tx) incPass(f int) {
-	if t.fuArith[f]+t.fuPass[f] == 0 {
+	if len(t.fuOps[f])+t.fuPass[f] == 0 {
 		t.fusUsed++
 		t.fuArea += t.fuWeight(f)
 	}
@@ -343,7 +380,7 @@ func (t *Tx) incPass(f int) {
 
 func (t *Tx) decPass(f int) {
 	t.fuPass[f]--
-	if t.fuArith[f]+t.fuPass[f] == 0 {
+	if len(t.fuOps[f])+t.fuPass[f] == 0 {
 		t.fusUsed--
 		t.fuArea -= t.fuWeight(f)
 	}
@@ -360,6 +397,52 @@ func (t *Tx) decReg(r int) {
 	t.regCnt[r]--
 	if t.regCnt[r] == 0 {
 		t.regsUsed--
+	}
+}
+
+// --- occupancy grid maintenance (mirrors regOccupancyInto's claims) ---
+
+// claim records value v's chain position k in register r, in the grid
+// and in the register's use count.
+func (t *Tx) claim(v lifetime.ValueID, k, r int) {
+	if r < 0 || r >= len(t.occ) {
+		t.oob++
+		return
+	}
+	t.incReg(r)
+	step := t.b.A.Values[v].StepAt(k, t.b.A.StorageSteps)
+	c := r*t.b.A.StorageSteps + step
+	t.claims[c]++
+	t.claimSum[c] += int(v)
+	if t.claims[c] == 2 {
+		t.conflicts++
+	}
+	t.settle(r, step, c)
+}
+
+// release withdraws a claim made by claim(v, k, r).
+func (t *Tx) release(v lifetime.ValueID, k, r int) {
+	if r < 0 || r >= len(t.occ) {
+		t.oob--
+		return
+	}
+	t.decReg(r)
+	step := t.b.A.Values[v].StepAt(k, t.b.A.StorageSteps)
+	c := r*t.b.A.StorageSteps + step
+	t.claims[c]--
+	t.claimSum[c] -= int(v)
+	if t.claims[c] == 1 {
+		t.conflicts--
+	}
+	t.settle(r, step, c)
+}
+
+// settle derives cell (r, step)'s holder from its claim count and sum.
+func (t *Tx) settle(r, step, c int) {
+	if t.claims[c] == 1 {
+		t.occ[r][step] = lifetime.ValueID(t.claimSum[c])
+	} else {
+		t.occ[r][step] = lifetime.NoValue
 	}
 }
 
@@ -393,7 +476,7 @@ func (t *Tx) markBirth(v lifetime.ValueID) {
 		return
 	}
 	t.markReg(t.b.SegReg[v][0])
-	for _, c := range t.b.Copies[SegKey{v, 0}] {
+	for _, c := range t.b.CopiesAt(v, 0) {
 		t.markReg(c)
 	}
 }
@@ -417,9 +500,12 @@ func (t *Tx) markValue(v lifetime.ValueID) {
 	}
 	for k := 0; k < val.Len; k++ {
 		t.markReg(b.SegReg[v][k])
-		for _, c := range b.Copies[SegKey{v, k}] {
+		for _, c := range b.CopiesAt(v, k) {
 			t.markReg(c)
 		}
+	}
+	if t.valPass[v] == 0 {
+		return
 	}
 	//lint:maporder set insertion into the dirty set; membership is order-free
 	for tk, f := range b.Pass {
@@ -440,10 +526,10 @@ func (t *Tx) SetOpFU(op cdfg.NodeID, f int) {
 	}
 	t.record(undoRec{op: undoOpFU, a: int(op), b: old})
 	if old >= 0 {
-		t.decArith(old)
+		t.dropOp(old, op)
 	}
 	if f >= 0 {
-		t.incArith(f)
+		t.addOp(f, op)
 	}
 	b.OpFU[op] = f
 	t.fuoccOK = false
@@ -468,14 +554,9 @@ func (t *Tx) SetSegReg(v lifetime.ValueID, k, r int) {
 		return
 	}
 	t.record(undoRec{op: undoSegReg, a: int(v), b: k, c: old})
-	if old >= 0 {
-		t.decReg(old)
-	}
-	if r >= 0 {
-		t.incReg(r)
-	}
+	t.release(v, k, old)
+	t.claim(v, k, r)
 	b.SegReg[v][k] = r
-	t.occOK = false
 	t.markReg(old)
 	t.markReg(r)
 	t.markValue(v)
@@ -484,11 +565,9 @@ func (t *Tx) SetSegReg(v lifetime.ValueID, k, r int) {
 // AddCopy stores a copy of (v, k) in register r (move R5).
 func (t *Tx) AddCopy(v lifetime.ValueID, k, r int) {
 	b := t.b
-	key := SegKey{v, k}
-	t.record(undoRec{op: undoAddCopy, a: int(v), b: k, c: r, d: len(b.Copies[key])})
-	b.Copies[key] = append(b.Copies[key], r)
-	t.incReg(r)
-	t.occOK = false
+	t.record(undoRec{op: undoAddCopy, a: int(v), b: k, c: r, d: len(b.CopiesAt(v, k))})
+	b.AddCopy(v, k, r)
+	t.claim(v, k, r)
 	t.markReg(r)
 	t.markValue(v)
 }
@@ -497,21 +576,13 @@ func (t *Tx) AddCopy(v lifetime.ValueID, k, r int) {
 // reporting whether it existed.
 func (t *Tx) RemoveCopy(v lifetime.ValueID, k, r int) bool {
 	b := t.b
-	key := SegKey{v, k}
-	cs := b.Copies[key]
-	for i, c := range cs {
+	for i, c := range b.CopiesAt(v, k) {
 		if c != r {
 			continue
 		}
 		t.record(undoRec{op: undoRemoveCopy, a: int(v), b: k, c: r, d: i})
-		cs = append(cs[:i], cs[i+1:]...)
-		if len(cs) == 0 {
-			delete(b.Copies, key)
-		} else {
-			b.Copies[key] = cs
-		}
-		t.decReg(r)
-		t.occOK = false
+		b.dropCopyAt(v, k, i)
+		t.release(v, k, r)
 		t.markReg(r)
 		t.markValue(v)
 		return true
@@ -532,6 +603,7 @@ func (t *Tx) SetPass(tk TransferKey, f int) {
 		t.markIdx(2 * old)
 	} else {
 		t.record(undoRec{op: undoNewPass, tk: tk})
+		t.valPass[tk.V]++
 	}
 	t.incPass(f)
 	b.Pass[tk] = f
@@ -550,6 +622,7 @@ func (t *Tx) UnbindPass(tk TransferKey) bool {
 	}
 	t.record(undoRec{op: undoDelPass, a: f, tk: tk})
 	t.decPass(f)
+	t.valPass[tk.V]--
 	delete(b.Pass, tk)
 	t.fuoccOK = false
 	t.markIdx(2 * f)
@@ -584,33 +657,69 @@ func (t *Tx) PrunePass() int {
 	return n
 }
 
-// --- occupancy caches ---
+// --- occupancy ---
 
-// Occ returns the register occupancy of the current state, rebuilding
-// the reused buffer only when a mutation invalidated it. The returned
-// table aliases the transaction's buffer: it is valid until the next
-// mutation-then-Occ sequence, so movers that mutate mid-scan observe
-// the pre-move snapshot.
+// Occ returns the live register occupancy grid, the table
+// Binding.RegOccupancy would build for the current state. The grid is
+// owned by the transaction and kept current by every mutation and
+// rollback, so a caller holding it sees each mutation as it happens;
+// callers must not write it. On a conflict it returns ErrRegConflict
+// (Binding.RegOccupancy and Check report the clashing values).
 func (t *Tx) Occ() ([][]lifetime.ValueID, error) {
-	if !t.occOK {
-		if err := t.b.regOccupancyInto(t.occBuf); err != nil {
-			return nil, err
-		}
-		t.occOK = true
+	if err := t.OccLegal(); err != nil {
+		return nil, err
 	}
-	return t.occBuf, nil
+	return t.occ, nil
 }
 
 // OccLegal reports whether the current register assignment is
 // conflict-free — the transactional form of the movers' RegOccupancy
-// legality probe.
+// legality probe — returning ErrRegConflict when it is not.
 func (t *Tx) OccLegal() error {
-	_, err := t.Occ()
-	return err
+	if t.conflicts != 0 || t.oob != 0 {
+		return ErrRegConflict
+	}
+	return nil
 }
 
-// FUOcc returns the FU occupancy of the current state through the same
-// reused-buffer discipline as Occ.
+// Audit cross-checks the incrementally maintained state against fresh
+// scans of the binding: OccLegal must fail exactly when
+// Binding.RegOccupancy does and, when legal, Occ must equal its table
+// cell for cell; the claim counts, operator lists and use counts must
+// equal a rebuild from scratch. It is an oracle for tests and
+// Options.Paranoid, not for the search loop.
+func (t *Tx) Audit() error {
+	ref, refErr := t.b.RegOccupancy()
+	occ, err := t.Occ()
+	switch {
+	case (refErr == nil) != (err == nil):
+		return fmt.Errorf("binding: occupancy grid legality %v, full scan %v", err, refErr)
+	case err == nil && !slices.EqualFunc(occ, ref, slices.Equal[[]lifetime.ValueID]):
+		return errors.New("binding: occupancy grid differs from RegOccupancy")
+	}
+	fresh := &Tx{b: t.b}
+	fresh.ensureShape()
+	fresh.scan()
+	switch {
+	case !slices.Equal(t.claims, fresh.claims) || !slices.Equal(t.claimSum, fresh.claimSum) ||
+		t.conflicts != fresh.conflicts || t.oob != fresh.oob:
+		return errors.New("binding: occupancy claim counts differ from a fresh scan")
+	case !slices.EqualFunc(t.fuOps, fresh.fuOps, slices.Equal[[]cdfg.NodeID]):
+		return fmt.Errorf("binding: per-FU operator lists %v, fresh scan %v", t.fuOps, fresh.fuOps)
+	case !slices.Equal(t.valPass, fresh.valPass) || !slices.Equal(t.fuPass, fresh.fuPass):
+		return fmt.Errorf("binding: pass counts per value %v and per FU %v, fresh scan %v and %v",
+			t.valPass, t.fuPass, fresh.valPass, fresh.fuPass)
+	case !slices.Equal(t.regCnt, fresh.regCnt) || t.fusUsed != fresh.fusUsed ||
+		t.fuArea != fresh.fuArea || t.regsUsed != fresh.regsUsed:
+		return errors.New("binding: use counts differ from a fresh scan")
+	}
+	return nil
+}
+
+// FUOcc returns the FU occupancy of the current state, rebuilding the
+// reused buffer only when an FU or pass-through mutation invalidated
+// it. The returned table aliases that buffer until the next
+// mutation-then-FUOcc sequence.
 func (t *Tx) FUOcc() (*FUOccupancy, error) {
 	if !t.fuoccOK {
 		if err := t.b.fuOccupancyInto(&t.fuocc); err != nil {
@@ -665,19 +774,14 @@ func (t *Tx) replaySink(idx int) (int, error) {
 	case datapath.SinkFUPort:
 		err = t.replayFUPort(sink, ns)
 	case datapath.SinkReg:
-		// The occupancy table inverts HeldIn: one pass over this
+		// The occupancy grid inverts HeldIn: one pass over this
 		// register's column recovers every (value, position) it holds,
-		// replacing the all-values HeldIn scan (two map probes per
-		// position) with O(StorageSteps) array reads. On an occupancy
-		// conflict — which full Eval would not detect — fall back to
-		// the HeldIn-based replay so error behavior stays byte-
-		// identical to full Eval.
-		if !t.occOK {
-			if t.b.regOccupancyInto(t.occBuf) == nil {
-				t.occOK = true
-			}
-		}
-		if t.occOK {
+		// replacing the all-values HeldIn scan with O(StorageSteps)
+		// array reads. While some cell is over-claimed — which full
+		// Eval does not detect — the grid no longer lists every holder,
+		// so fall back to the HeldIn-based replay and keep error
+		// behavior byte-identical to full Eval.
+		if t.conflicts == 0 {
 			err = t.replayRegOcc(sink, ns)
 		} else {
 			err = t.replayReg(sink, ns)
@@ -699,7 +803,7 @@ func (t *Tx) pickHolderScratch(v lifetime.ValueID, k int, ns *datapath.NetScratc
 	if ns.Has(datapath.Source{Kind: datapath.SrcReg, Index: primary}) {
 		return primary
 	}
-	for _, c := range b.Copies[SegKey{v, k}] {
+	for _, c := range b.CopiesAt(v, k) {
 		if ns.Has(datapath.Source{Kind: datapath.SrcReg, Index: c}) {
 			return c
 		}
@@ -743,17 +847,13 @@ func (t *Tx) replayFUPort(sink datapath.Sink, ns *datapath.NetScratch) error {
 	g := b.A.Sched.G
 	s := b.A.Sched
 	f, port := sink.Index, sink.Port
-	for i := range g.Nodes {
-		n := &g.Nodes[i]
-		if !n.Op.IsArith() || b.OpFU[i] != f {
-			continue
-		}
+	for _, op := range t.fuOps[f] {
 		argPort := port
-		if b.OpSwap[i] {
+		if b.OpSwap[op] {
 			argPort = 1 - port
 		}
-		step := s.Start[i]
-		src, err := t.operandSrc(n.Args[argPort], step, ns)
+		step := s.Start[op]
+		src, err := t.operandSrc(g.Nodes[op].Args[argPort], step, ns)
 		if err != nil {
 			return err
 		}
@@ -761,7 +861,7 @@ func (t *Tx) replayFUPort(sink datapath.Sink, ns *datapath.NetScratch) error {
 			return err
 		}
 	}
-	if port != 0 {
+	if port != 0 || t.fuPass[f] == 0 {
 		return nil
 	}
 	// Pass-through input reads. Eval visits them value-ascending, chain
@@ -803,7 +903,7 @@ func (t *Tx) holderPos(tk TransferKey) int {
 	if t.b.SegReg[tk.V][tk.K] == tk.ToReg {
 		return 0
 	}
-	for i, c := range t.b.Copies[SegKey{tk.V, tk.K}] {
+	for i, c := range t.b.CopiesAt(tk.V, tk.K) {
 		if c == tk.ToReg {
 			return i + 1
 		}
@@ -874,15 +974,15 @@ func (t *Tx) replayReg(sink datapath.Sink, ns *datapath.NetScratch) error {
 	return nil
 }
 
-// replayRegOcc is replayReg driven by the occupancy table: the
+// replayRegOcc is replayReg driven by the occupancy grid: the
 // register's column lists exactly the (value, position) pairs HeldIn
 // would report, so sorting them into (value, position) order and
 // checking adjacency for the held-previous-position test reproduces
-// the HeldIn scan without any map probes. Requires t.occOK.
+// the HeldIn scan. Requires a conflict-free grid.
 func (t *Tx) replayRegOcc(sink datapath.Sink, ns *datapath.NetScratch) error {
 	b := t.b
 	ss := b.A.StorageSteps
-	col := t.occBuf[sink.Index]
+	col := t.occ[sink.Index]
 	t.segTmp = t.segTmp[:0]
 	for step, vid := range col {
 		if vid == lifetime.NoValue {

@@ -1,7 +1,10 @@
 package binding
 
 import (
+	"errors"
+	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -82,7 +85,7 @@ type txSnapshot struct {
 	opFU   []int
 	opSwap []bool
 	segReg [][]int
-	copies map[SegKey][]int
+	copies [][][]int
 	pass   map[TransferKey]int
 }
 
@@ -131,15 +134,67 @@ func sortedPassKeys(b *Binding) []TransferKey {
 	return keys
 }
 
+// auditTx checks the Tx's derived state against fresh scans of its
+// binding: OccLegal fails (with ErrRegConflict) exactly when
+// RegOccupancy does, a legal Occ equals RegOccupancy cell for cell, and
+// the per-FU operator lists and per-value pass counts equal a rescan.
+// It reports whether the grid was legal.
+func auditTx(t *testing.T, when string, tx *Tx) bool {
+	t.Helper()
+	ref, refErr := tx.B().RegOccupancy()
+	legalErr := tx.OccLegal()
+	if (legalErr == nil) != (refErr == nil) {
+		t.Fatalf("%s: OccLegal() = %v but RegOccupancy() = %v", when, legalErr, refErr)
+	}
+	if legalErr != nil && !errors.Is(legalErr, ErrRegConflict) {
+		t.Fatalf("%s: OccLegal() = %v, want ErrRegConflict", when, legalErr)
+	}
+	if legalErr == nil {
+		occ, err := tx.Occ()
+		if err != nil {
+			t.Fatalf("%s: OccLegal() = nil but Occ() = %v", when, err)
+		}
+		if !reflect.DeepEqual(occ, ref) {
+			t.Fatalf("%s: Occ() %v, RegOccupancy() %v", when, occ, ref)
+		}
+	}
+	b := tx.B()
+	ops := make([][]cdfg.NodeID, len(b.HW.FUs))
+	for i, f := range b.OpFU {
+		if f >= 0 && b.A.Sched.G.Nodes[i].Op.IsArith() {
+			ops[f] = append(ops[f], cdfg.NodeID(i))
+		}
+	}
+	for f := range ops {
+		if !slices.Equal(ops[f], tx.fuOps[f]) {
+			t.Fatalf("%s: FU %d operator list %v, fresh scan %v", when, f, tx.fuOps[f], ops[f])
+		}
+	}
+	perValue := make([]int, len(b.A.Values))
+	for tk := range b.Pass {
+		perValue[tk.V]++
+	}
+	if !reflect.DeepEqual(perValue, tx.valPass) {
+		t.Fatalf("%s: per-value pass counts %v, fresh scan %v", when, tx.valPass, perValue)
+	}
+	if err := tx.Audit(); err != nil {
+		t.Fatalf("%s: %v", when, err)
+	}
+	return legalErr == nil
+}
+
 // TestTxRandomWalkMatchesFullEval is the incremental-binding property
 // test: a seeded walk drives every Tx mutator — including illegal
 // mutations the engine's movers would never emit — and checks, at every
-// step, the two contracts the search depends on:
+// step, the contracts the search depends on:
 //
 //   - DeltaCost on a legal state equals a full Eval of the same state,
 //     term by term (the affected-set replay misses nothing);
 //   - Rollback restores the exact pre-move binding AND cost tables,
-//     whether the move was legal, illegal, or unevaluable.
+//     whether the move was legal, illegal, or unevaluable;
+//   - after every mutation and every Rollback, the occupancy grid, the
+//     per-FU operator lists and the per-value pass counts equal fresh
+//     scans (auditTx), over-claimed cells included.
 func TestTxRandomWalkMatchesFullEval(t *testing.T) {
 	fx, b := txFixture(t)
 	tx, err := NewTx(b)
@@ -216,20 +271,30 @@ func TestTxRandomWalkMatchesFullEval(t *testing.T) {
 
 	applied := map[string]int{}
 	outcomes := map[string]int{}
+	grids := map[string]int{}
 	const steps = 400
 	for step := 0; step < steps; step++ {
 		pre := takeSnapshot(b)
 		preCost := baseline
 		tx.Begin()
-		moved := false
+		moved, conflicted := false, false
 		for n := 1 + rng.intn(2); n > 0; n-- {
 			if kind := mutate(); kind != "" {
 				applied[kind]++
 				moved = true
 			}
+			if auditTx(t, fmt.Sprintf("step %d mutation", step), tx) {
+				if conflicted {
+					grids["healed"]++ // an over-claimed cell recovered its holder
+				}
+			} else {
+				conflicted = true
+				grids["conflict"]++
+			}
 		}
 		if !moved {
 			tx.Rollback()
+			auditTx(t, fmt.Sprintf("step %d rollback", step), tx)
 			continue
 		}
 
@@ -238,6 +303,7 @@ func TestTxRandomWalkMatchesFullEval(t *testing.T) {
 			// undo log must still unwind it exactly.
 			tx.Rollback()
 			assertRestored(t, step, b, pre)
+			auditTx(t, fmt.Sprintf("step %d rollback", step), tx)
 			if got := tx.Cost(); got != preCost {
 				t.Fatalf("step %d: cost after illegal-move rollback %+v, want %+v", step, got, preCost)
 			}
@@ -253,6 +319,7 @@ func TestTxRandomWalkMatchesFullEval(t *testing.T) {
 			}
 			tx.Rollback()
 			assertRestored(t, step, b, pre)
+			auditTx(t, fmt.Sprintf("step %d rollback", step), tx)
 			outcomes["unevaluable"]++
 			continue
 		}
@@ -274,6 +341,7 @@ func TestTxRandomWalkMatchesFullEval(t *testing.T) {
 		} else {
 			tx.Rollback()
 			assertRestored(t, step, b, pre)
+			auditTx(t, fmt.Sprintf("step %d rollback", step), tx)
 			if got := tx.Cost(); got != preCost {
 				t.Fatalf("step %d: cost after rollback %+v, want %+v", step, got, preCost)
 			}
@@ -291,6 +359,11 @@ func TestTxRandomWalkMatchesFullEval(t *testing.T) {
 	for _, out := range []string{"commit", "rollback", "illegal"} {
 		if outcomes[out] == 0 {
 			t.Errorf("random walk never hit outcome %s (tally %v)", out, outcomes)
+		}
+	}
+	for _, g := range []string{"conflict", "healed"} {
+		if grids[g] == 0 {
+			t.Errorf("random walk never hit grid state %s (tally %v)", g, grids)
 		}
 	}
 

@@ -139,6 +139,9 @@ search:
 				if err := cur.Check(); err != nil {
 					return nil, paranoidErr(trial, i, kind, fmt.Errorf("accepted illegal binding: %w", err))
 				}
+				if err := tx.Audit(); err != nil {
+					return nil, paranoidErr(trial, i, kind, fmt.Errorf("commit: %w", err))
+				}
 			}
 			accepted++
 			curCost = cost
@@ -196,9 +199,10 @@ func checkDelta(b *binding.Binding, delta binding.Cost) error {
 }
 
 // checkRollback is Paranoid's undo oracle, run after every Rollback: the
-// binding must be exactly the clone taken before Begin and the
-// transaction's cost back at its pre-move value. A nil pre (Paranoid
-// off) checks nothing.
+// binding must be exactly the clone taken before Begin, the
+// transaction's cost back at its pre-move value, and its occupancy
+// grid, operator lists and pass counts equal to fresh scans (Tx.Audit).
+// A nil pre (Paranoid off) checks nothing.
 func checkRollback(tx *binding.Tx, pre *binding.Binding, preCost binding.Cost) error {
 	if pre == nil {
 		return nil
@@ -208,6 +212,9 @@ func checkRollback(tx *binding.Tx, pre *binding.Binding, preCost binding.Cost) e
 	}
 	if got := tx.Cost(); got != preCost {
 		return fmt.Errorf("rollback left cost %+v, want %+v", got, preCost)
+	}
+	if err := tx.Audit(); err != nil {
+		return fmt.Errorf("rollback: %w", err)
 	}
 	return nil
 }

@@ -371,9 +371,11 @@ func (m *mover) segMove(tx *binding.Tx) bool {
 
 	if m.rng.Intn(3) > 0 {
 		// Suffix move: primary segments k..Len-1 all go to `to`,
-		// stopping early if `to` is occupied by another value. The
-		// occupancy snapshot is pre-move by construction (the buffer is
-		// only refilled on the next Occ call).
+		// stopping early if `to` is occupied by another value. occ is
+		// the live grid, yet every read below is still pre-move: each
+		// chain position of a value sits at a distinct step, and the
+		// mutations at position kk touch only step tt's cells, which no
+		// later iteration reads.
 		moved := 0
 		for kk := k; kk < val.Len; kk++ {
 			tt := val.StepAt(kk, b.A.StorageSteps)
@@ -507,19 +509,15 @@ func (m *mover) valueSplit(tx *binding.Tx) bool {
 // valueMerge (R6) eliminates one copy segment.
 func (m *mover) valueMerge(tx *binding.Tx) bool {
 	b := tx.B()
-	if b.NumCopies() == 0 {
-		return false
-	}
 	type copyRef struct {
-		key binding.SegKey
-		reg int
+		v      lifetime.ValueID
+		k, reg int
 	}
 	var all []copyRef
 	for _, v := range m.valueIDs {
-		val := &b.A.Values[v]
-		for k := 0; k < val.Len; k++ {
-			for _, r := range b.Copies[binding.SegKey{V: v, K: k}] {
-				all = append(all, copyRef{binding.SegKey{V: v, K: k}, r})
+		for k, cs := range b.Copies[v] {
+			for _, r := range cs {
+				all = append(all, copyRef{v, k, r})
 			}
 		}
 	}
@@ -527,7 +525,7 @@ func (m *mover) valueMerge(tx *binding.Tx) bool {
 		return false
 	}
 	c := all[m.rng.Intn(len(all))]
-	tx.RemoveCopy(c.key.V, c.key.K, c.reg)
+	tx.RemoveCopy(c.v, c.k, c.reg)
 	tx.PrunePass()
 	return true
 }

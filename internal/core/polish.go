@@ -74,10 +74,12 @@ func polish(b *binding.Binding, cost binding.Cost, opts Options) (*binding.Bindi
 
 		// Suffix moves (the extended model's cheapest value-migration
 		// primitive: one new transfer), over every split point and
-		// target register. The legality pre-probe reads a polish-owned
-		// occupancy snapshot so rejected candidates cannot disturb it.
+		// target register. The legality pre-probe reads the
+		// transaction's live occupancy grid between candidates, where it
+		// describes best: a committed candidate is already in it and a
+		// rolled-back one already undone.
 		if opts.EnableSegments {
-			occ, err := best.RegOccupancy()
+			occ, err := tx.Occ()
 			if err == nil {
 				for v := range best.A.Values {
 					val := &best.A.Values[v]
@@ -111,10 +113,6 @@ func polish(b *binding.Binding, cost binding.Cost, opts Options) (*binding.Bindi
 							tx.PrunePass()
 							if try() {
 								improved = true
-								occ, err = best.RegOccupancy()
-								if err != nil {
-									break
-								}
 							}
 						}
 					}
@@ -123,13 +121,15 @@ func polish(b *binding.Binding, cost binding.Cost, opts Options) (*binding.Bindi
 		}
 
 		// Operator moves (F2 over every compatible FU) and reversals (F3).
+		// Only a committed operator move changes the issue windows, so
+		// the FU table is taken once and retaken after each one.
+		fuOcc, fuErr := best.FUOccupancy()
 		for i := range g.Nodes {
 			n := &g.Nodes[i]
 			if !n.Op.IsArith() {
 				continue
 			}
-			occ, err := best.FUOccupancy()
-			if err != nil {
+			if fuErr != nil {
 				break
 			}
 			st := best.A.Sched.Start[i]
@@ -140,7 +140,7 @@ func polish(b *binding.Binding, cost binding.Cost, opts Options) (*binding.Bindi
 				}
 				free := true
 				for t := st; t < st+ii; t++ {
-					if occ.Issue[f][t] != cdfg.NoNode {
+					if fuOcc.Issue[f][t] != cdfg.NoNode {
 						free = false
 						break
 					}
@@ -153,6 +153,7 @@ func polish(b *binding.Binding, cost binding.Cost, opts Options) (*binding.Bindi
 				tx.PrunePass()
 				if try() {
 					improved = true
+					fuOcc, fuErr = best.FUOccupancy()
 					break
 				}
 			}
@@ -207,7 +208,7 @@ func polish(b *binding.Binding, cost binding.Cost, opts Options) (*binding.Bindi
 			for v := range best.A.Values {
 				val := &best.A.Values[v]
 				for k := 0; k < val.Len; k++ {
-					for _, r := range append([]int(nil), best.Copies[binding.SegKey{V: val.ID, K: k}]...) {
+					for _, r := range append([]int(nil), best.CopiesAt(val.ID, k)...) {
 						tx.Begin()
 						tx.RemoveCopy(val.ID, k, r)
 						tx.PrunePass()

@@ -57,7 +57,10 @@ func txUndoCases(t *testing.T) map[string]func(*testing.T) (*lifetime.Analysis, 
 // before the move), and while the move is applied its delta cost must
 // equal a from-scratch evaluation. Aborted moves (the mover mutated,
 // hit an illegality, and returned false) must roll back just as
-// exactly — that is the path a search rejection takes.
+// exactly — that is the path a search rejection takes. After every
+// apply and every rollback, Tx.Audit must find the occupancy grid equal
+// to RegOccupancy (and illegal exactly when it fails), and the per-FU
+// operator lists and per-value pass counts equal to fresh scans.
 func TestTxApplyUndoRestoresBinding(t *testing.T) {
 	for name, build := range txUndoCases(t) {
 		t.Run(name, func(t *testing.T) {
@@ -100,6 +103,9 @@ func TestTxApplyUndoRestoresBinding(t *testing.T) {
 					preCost := tx.Cost()
 					tx.Begin()
 					applied := mv.apply(tx, kind)
+					if err := tx.Audit(); err != nil {
+						t.Fatalf("%s: after apply (applied=%v): %v", kind, applied, err)
+					}
 					if applied {
 						fired[kind]++
 						cost, err := tx.DeltaCost()
@@ -113,6 +119,9 @@ func TestTxApplyUndoRestoresBinding(t *testing.T) {
 						}
 					}
 					tx.Rollback()
+					if err := tx.Audit(); err != nil {
+						t.Fatalf("%s: after rollback (applied=%v): %v", kind, applied, err)
+					}
 					if !reflect.DeepEqual(cur, pre) {
 						t.Fatalf("%s: rollback (applied=%v) did not restore the binding:\n pre: %+v\n cur: %+v",
 							kind, applied, pre, cur)

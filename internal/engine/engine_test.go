@@ -53,11 +53,16 @@ func quickOpts(seed int64) core.Options {
 func fingerprint(b *binding.Binding) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "fu=%v swap=%v seg=%v", b.OpFU, b.OpSwap, b.SegReg)
-	copies := make([]string, 0, len(b.Copies))
-	for k, regs := range b.Copies {
-		rs := append([]int(nil), regs...)
-		sort.Ints(rs)
-		copies = append(copies, fmt.Sprintf("%d.%d:%v", k.V, k.K, rs))
+	var copies []string
+	for v, row := range b.Copies {
+		for k, regs := range row {
+			if len(regs) == 0 {
+				continue
+			}
+			rs := append([]int(nil), regs...)
+			sort.Ints(rs)
+			copies = append(copies, fmt.Sprintf("%d.%d:%v", v, k, rs))
+		}
 	}
 	sort.Strings(copies)
 	passes := make([]string, 0, len(b.Pass))
