@@ -9,7 +9,7 @@
 //	POST /allocate   synchronous allocation (AllocateRequest JSON)
 //	POST /jobs       asynchronous submission; answers 202 + job ID
 //	GET  /jobs/{id}  job state, engine progress, result
-//	GET  /metrics    Prometheus text format counters + histogram
+//	GET  /metrics    Prometheus text format (internal/metrics)
 //	GET  /healthz    liveness
 //	GET  /readyz     readiness (503 while draining)
 //	GET  /debug/vars expvar
@@ -17,6 +17,12 @@
 // Usage:
 //
 //	salsad -addr :8080 -max-concurrent 4 -max-queue 64 -cache 256
+//
+// Every metric is registered once in an internal/metrics registry:
+// the service's, then the engine's process-wide counters. /metrics
+// writes them in registration order, one group per family, and
+// /debug/vars publishes the salsa_service snapshot derived from the
+// same registrations plus each engine counter under its own name.
 //
 // With -journal <dir>, async jobs are durable: every acceptance and
 // terminal result is fsynced to a write-ahead log in <dir> before it
@@ -29,7 +35,9 @@
 // With -route, the same binary boots as a stateless cluster router
 // instead: it serves the identical API surface, but proxies every
 // request to one of the listed backends using a consistent-hash ring
-// keyed by the graph fingerprint (see internal/cluster):
+// keyed by the graph fingerprint (see internal/cluster). Its /metrics
+// writes the router's own registry, then each healthy backend's engine
+// counters scraped through and re-labelled by backend:
 //
 //	salsad -route http://127.0.0.1:8081,http://127.0.0.1:8082
 package main

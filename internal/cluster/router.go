@@ -16,6 +16,7 @@ import (
 
 	"salsa/internal/client"
 	"salsa/internal/clock"
+	"salsa/internal/metrics"
 	"salsa/internal/service"
 )
 
@@ -127,6 +128,34 @@ type Router struct {
 	work sync.WaitGroup
 }
 
+// routerMetrics holds the router's metric families. newRouterMetrics
+// registers each once, with its help text, in exposition order.
+type routerMetrics struct {
+	reg             *metrics.Registry
+	served, healthy *metrics.Vec[string] // by backend
+
+	requests, routed, failovers, rehomed                      *metrics.Int
+	cacheHits, cacheMiss, noBackend, jobsLost, jobUnavailable *metrics.Int
+}
+
+func newRouterMetrics(cache *service.ResultCache) *routerMetrics {
+	r := metrics.NewRegistry()
+	m := &routerMetrics{reg: r}
+	m.requests = r.Counter("salsa_router_requests_total", "Requests that reached the router.")
+	m.routed = r.Counter("salsa_router_routed_total", "Exchanges proxied to a backend.")
+	m.failovers = r.Counter("salsa_router_failover_total", "Exchanges failed over to the next ring member.")
+	m.rehomed = r.Counter("salsa_router_rehomed_total", "Requests whose owner moved because a backend was unhealthy.")
+	m.cacheHits = r.Counter("salsa_router_cache_hits_total", "Router response-cache hits.")
+	m.cacheMiss = r.Counter("salsa_router_cache_misses_total", "Router response-cache misses.")
+	m.noBackend = r.Counter("salsa_router_no_backend_total", "Requests rejected because no backend was healthy.")
+	m.jobsLost = r.Counter("salsa_router_jobs_lost_total", "Job polls for which no reachable shard knows the job (genuine loss; resubmit).")
+	m.jobUnavailable = r.Counter("salsa_router_job_unavailable_total", "Job polls answered 503 while the pinned shard is unreachable (journal may recover it).")
+	m.served = metrics.CounterVec[string](r, "salsa_router_served_total", "Requests served per backend.", "backend")
+	m.healthy = metrics.GaugeVec[string](r, "salsa_router_backend_healthy", "Backend health by probe (1 healthy, 0 not).", "backend")
+	r.GaugeFunc("salsa_router_cache_entries", "Router response-cache resident entries.", func() int64 { return int64(cache.Len()) })
+	return m
+}
+
 // New builds a Router over cfg.Backends. All backends start healthy
 // (optimistic: the router is usable before the first probe lands);
 // Start begins demoting the ones that fail their probes.
@@ -149,11 +178,12 @@ func New(cfg Config) (*Router, error) {
 		backends[i] = b
 	}
 	cfg.Backends = backends
+	cache := service.NewResultCache(cfg.CacheEntries)
 	r := &Router{
 		cfg:     cfg,
 		clock:   cfg.Clock,
-		metrics: newRouterMetrics(),
-		cache:   service.NewResultCache(cfg.CacheEntries),
+		metrics: newRouterMetrics(cache),
+		cache:   cache,
 		full:    NewRing(backends, cfg.Replicas),
 		clients: make(map[string]*client.Client, len(backends)),
 		index:   make(map[string]int, len(backends)),
@@ -164,6 +194,7 @@ func New(cfg Config) (*Router, error) {
 	for i, b := range backends {
 		r.index[b] = i
 		r.healthy[b] = true
+		r.metrics.healthy.Set(b, 1)
 		r.clients[b] = client.New(client.Config{
 			BaseURL:     b,
 			Doer:        cfg.Doer,
@@ -242,6 +273,11 @@ func (r *Router) setHealth(backend string, ok bool) {
 		}
 	}
 	if changed {
+		v := int64(0)
+		if ok {
+			v = 1
+		}
+		r.metrics.healthy.Set(backend, v)
 		live := make([]string, 0, len(r.byIndex))
 		for _, b := range r.byIndex {
 			if r.healthy[b] {
@@ -273,8 +309,7 @@ func (r *Router) Healthy() []string {
 // MetricsSnapshot returns the router counters as a flat map for tests
 // and the simulation harness.
 func (r *Router) MetricsSnapshot() map[string]int64 {
-	m := r.metrics.snapshot()
-	m["cache_entries"] = int64(r.cache.Len())
+	m := r.metrics.reg.Snapshot("salsa_router_")
 	m["healthy_backends"] = int64(len(r.Healthy()))
 	return m
 }
@@ -360,7 +395,7 @@ func (r *Router) proxy(ctx context.Context, method, path string, body []byte, ri
 			lastErr = &client.HTTPError{Status: res.Status, Body: res.Body}
 			continue
 		}
-		r.metrics.served(b)
+		r.metrics.served.Add(b, 1)
 		return res, b, nil
 	}
 	return nil, "", fmt.Errorf("all %d backends failed: %w", len(seq), lastErr)
@@ -385,11 +420,7 @@ func passthrough(w http.ResponseWriter, res *client.HTTPResult, backend string) 
 func writeError(w http.ResponseWriter, status int, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	body, err := json.Marshal(map[string]string{"error": msg})
-	if err != nil {
-		body = []byte(`{"error":"internal error"}`)
-	}
-	_, _ = w.Write(append(body, '\n'))
+	_, _ = w.Write(service.ErrorBody(msg))
 }
 
 // writeUnavailable is the shared 503 path: drain, empty ring, or an
@@ -577,7 +608,7 @@ func (r *Router) handleJobStatus(w http.ResponseWriter, req *http.Request) {
 	r.metrics.routed.Add(1)
 	res, rerr := r.clients[pinned].Roundtrip(req.Context(), http.MethodGet, "/jobs/"+m[2], nil)
 	if rerr == nil && res.Status < http.StatusInternalServerError && res.Status != http.StatusNotFound {
-		r.metrics.served(pinned)
+		r.metrics.served.Add(pinned, 1)
 		passthrough(w, res, pinned)
 		return
 	}
@@ -614,7 +645,7 @@ func (r *Router) handleJobStatus(w http.ResponseWriter, req *http.Request) {
 			// A survivor adopted the journal (or the owner's data dir
 			// moved): serve from it, zero loss.
 			r.metrics.failovers.Add(1)
-			r.metrics.served(b)
+			r.metrics.served.Add(b, 1)
 			passthrough(w, sres, b)
 			return
 		}
@@ -659,51 +690,38 @@ func (r *Router) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 // backend's /metrics output.
 var engineCounter = regexp.MustCompile(`(?m)^(salsa_engine_[a-z_]+) (\d+)$`)
 
-// handleMetrics renders the router's own counters, per-backend health
-// gauges, and a scrape-through of every backend's engine counters
-// re-labelled with backend=<url> — one scrape of the router sees the
-// whole fleet's engine activity without touching each backend.
+// handleMetrics renders the router's own families, then a
+// scrape-through of every healthy backend's engine counters re-labelled
+// with backend=<url> — one scrape of the router sees the whole fleet's
+// engine activity without touching each backend. Scraped samples are
+// collected per family first, so each family is one group with one
+// series per backend.
 func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	r.metrics.requests.Add(1)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	r.metrics.writePrometheus(w)
-	fmt.Fprintf(w, "# HELP salsa_router_backend_healthy Backend health by probe (1 healthy, 0 not).\n# TYPE salsa_router_backend_healthy gauge\n")
-	healthy := make(map[string]bool)
-	for _, b := range r.Healthy() {
-		healthy[b] = true
-	}
-	for _, b := range r.byIndex {
-		v := 0
-		if healthy[b] {
-			v = 1
-		}
-		fmt.Fprintf(w, "salsa_router_backend_healthy{backend=%q} %d\n", b, v)
-	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	gauge("salsa_router_cache_entries", "Router response-cache resident entries.", int64(r.cache.Len()))
+	r.metrics.reg.Write(w)
 
-	// Scrape-through: engine counters from every live backend, once per
-	// family, one labelled sample per backend, in configured order.
-	emitted := map[string]bool{}
-	for _, b := range r.byIndex {
-		if !healthy[b] {
-			continue
-		}
+	scraped := metrics.NewRegistry()
+	families := map[string]*metrics.Vec[string]{}
+	for _, b := range r.Healthy() {
 		body, ok := r.scrapeBackend(req.Context(), b)
 		if !ok {
 			continue
 		}
 		for _, m := range engineCounter.FindAllStringSubmatch(string(body), -1) {
-			name, value := m[1], m[2]
-			if !emitted[name] {
-				emitted[name] = true
-				fmt.Fprintf(w, "# HELP %s Engine counter scraped through from the backend.\n# TYPE %s counter\n", name, name)
+			v, err := strconv.ParseInt(m[2], 10, 64)
+			if err != nil {
+				continue
 			}
-			fmt.Fprintf(w, "%s{backend=%q} %s\n", name, b, value)
+			f := families[m[1]]
+			if f == nil {
+				f = metrics.CounterVec[string](scraped, m[1], "Engine counter scraped through from the backend.", "backend")
+				families[m[1]] = f
+			}
+			f.Set(b, v)
 		}
 	}
+	scraped.Write(w)
 }
 
 // scrapeBackend fetches one backend's /metrics with a single,

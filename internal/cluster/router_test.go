@@ -530,7 +530,7 @@ func TestRouterBadRequest(t *testing.T) {
 
 // TestRouterMetricsAggregation: one scrape of the router exposes its
 // own counters, per-backend health gauges, and the backends' engine
-// counters re-labelled by backend.
+// counters re-labelled by backend, each family as one group.
 func TestRouterMetricsAggregation(t *testing.T) {
 	tc := newTestCluster(t, 2, Config{})
 	_, out := postAllocate(t, tc.front.URL, allocBody(t, workloads.Diffeq(), 1))
@@ -554,9 +554,12 @@ func TestRouterMetricsAggregation(t *testing.T) {
 			t.Errorf("scrape lacks %q", want)
 		}
 	}
-	if !regexp.MustCompile(`salsa_engine_trials_total\{backend="http://[^"]+"\} \d+`).MatchString(text) {
-		t.Errorf("scrape lacks engine counter scrape-through:\n%s", text)
+	for _, b := range tc.backends {
+		if want := fmt.Sprintf("salsa_engine_trials_total{backend=%q} ", b.URL); !strings.Contains(text, want) {
+			t.Errorf("scrape lacks engine counter scrape-through %q:\n%s", want, text)
+		}
 	}
+	checkGrouping(t, text)
 }
 
 // TestRouterDrain: drain flips readiness off, rejects new work with

@@ -145,13 +145,14 @@ func (s *Server) parseRequest(ar *AllocateRequest) (*allocSpec, error) {
 	}, nil
 }
 
-// errorBody renders the uniform error response document.
-func errorBody(msg string) []byte {
+// ErrorBody renders the uniform error response document that the
+// service and the router both serve.
+func ErrorBody(msg string) []byte {
 	body, err := json.Marshal(map[string]string{"error": msg})
 	if err != nil {
 		// A map[string]string cannot fail to marshal; keep a plain
 		// fallback rather than panicking in an error path.
-		return []byte(`{"error":"internal error"}`)
+		return []byte("{\"error\":\"internal error\"}\n")
 	}
 	return append(body, '\n')
 }

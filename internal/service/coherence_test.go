@@ -199,9 +199,9 @@ func TestConcurrentCacheCoherence(t *testing.T) {
 	if m["singleflight_abandoned_total"] != impatient {
 		t.Errorf("singleflight_abandoned_total = %d, want %d", m["singleflight_abandoned_total"], impatient)
 	}
-	if m["responses_total_408"] != m["singleflight_abandoned_total"] {
-		t.Errorf("responses_total_408 = %d does not reconcile with singleflight_abandoned_total = %d",
-			m["responses_total_408"], m["singleflight_abandoned_total"])
+	if m["http_responses_total_408"] != m["singleflight_abandoned_total"] {
+		t.Errorf("http_responses_total_408 = %d does not reconcile with singleflight_abandoned_total = %d",
+			m["http_responses_total_408"], m["singleflight_abandoned_total"])
 	}
 	if m["deadline_empty_total"] != 0 {
 		t.Errorf("deadline_empty_total = %d, want 0 (nobody ran out of engine deadline)", m["deadline_empty_total"])

@@ -26,8 +26,8 @@
 //     allocation work with 503, and waits for in-flight requests and
 //     async jobs to complete (cmd/salsad calls it on SIGTERM);
 //   - first-class observability: /metrics (Prometheus text format,
-//     service counters + latency histogram + the engine's process-wide
-//     expvar counters), /healthz, /readyz, and per-job progress from
+//     the service's internal/metrics registry + the engine's
+//     process-wide counters), /healthz, /readyz, and per-job progress from
 //     engine telemetry via /jobs/{id}.
 package service
 
@@ -113,7 +113,7 @@ func (c Config) withDefaults() Config {
 // Handler on an http.Server, and call Drain on shutdown.
 type Server struct {
 	cfg     Config
-	metrics *metrics
+	metrics *serverMetrics
 	cache   *ResultCache
 	flight  *flightGroup
 	jobs    *jobRegistry
@@ -150,10 +150,11 @@ func New(cfg Config) *Server {
 	if cfg.Hooks != nil && cfg.Hooks.Clock != nil {
 		clk = cfg.Hooks.Clock
 	}
+	cache := NewResultCache(cfg.CacheEntries)
 	s := &Server{
 		cfg:     cfg,
-		metrics: newMetrics(),
-		cache:   NewResultCache(cfg.CacheEntries),
+		metrics: newServerMetrics(cache),
+		cache:   cache,
 		flight:  newFlightGroup(),
 		jobs:    newJobRegistry(cfg.MaxJobs, clk),
 		journal: cfg.Journal,
@@ -220,7 +221,7 @@ func (s *Server) recoverJobs() {
 // simulation harness and property tests reconcile observed responses
 // against it.
 func (s *Server) MetricsSnapshot() map[string]int64 {
-	return s.metrics.snapshot(s.cache.Len())
+	return s.metrics.reg.Snapshot("salsa_")
 }
 
 // Handler returns the service's HTTP mux.
@@ -294,8 +295,8 @@ func (s *Server) instrument(h http.HandlerFunc) http.HandlerFunc {
 		if rec.status == 0 {
 			rec.status = http.StatusOK
 		}
-		s.metrics.response(rec.status)
-		s.metrics.latency.observe(s.clock.Since(t0))
+		s.metrics.responses.Add(rec.status, 1)
+		s.metrics.latency.Observe(s.clock.Since(t0))
 	}
 }
 
@@ -333,20 +334,20 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) *allocSpe
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			writeJSON(w, http.StatusRequestEntityTooLarge,
-				errorBody(fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)))
+				ErrorBody(fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)))
 			return nil
 		}
-		writeJSON(w, http.StatusBadRequest, errorBody("reading request body: "+err.Error()))
+		writeJSON(w, http.StatusBadRequest, ErrorBody("reading request body: "+err.Error()))
 		return nil
 	}
 	var ar AllocateRequest
 	if err := json.Unmarshal(body, &ar); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody("decoding request: "+err.Error()))
+		writeJSON(w, http.StatusBadRequest, ErrorBody("decoding request: "+err.Error()))
 		return nil
 	}
 	spec, err := s.parseRequest(&ar)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody(err.Error()))
+		writeJSON(w, http.StatusBadRequest, ErrorBody(err.Error()))
 		return nil
 	}
 	spec.wire = body
@@ -393,7 +394,7 @@ func (s *Server) rejectDraining(w http.ResponseWriter) bool {
 		return false
 	}
 	w.Header().Set("Retry-After", s.retryAfterHint())
-	writeJSON(w, http.StatusServiceUnavailable, errorBody("server is draining"))
+	writeJSON(w, http.StatusServiceUnavailable, ErrorBody("server is draining"))
 	return true
 }
 
@@ -425,7 +426,7 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 		// up with 408.
 		s.metrics.flightAbandoned.Add(1)
 		writeJSON(w, http.StatusRequestTimeout,
-			errorBody("request abandoned while waiting on an identical in-flight run: "+err.Error()))
+			ErrorBody("request abandoned while waiting on an identical in-flight run: "+err.Error()))
 		return
 	}
 	if shared {
@@ -452,7 +453,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	j, err := s.jobs.create(spec.key)
 	if err != nil {
 		w.Header().Set("Retry-After", s.retryAfterHint())
-		writeJSON(w, http.StatusTooManyRequests, errorBody(err.Error()))
+		writeJSON(w, http.StatusTooManyRequests, ErrorBody(err.Error()))
 		return
 	}
 	// Durability before acknowledgement: the acceptance reaches disk
@@ -464,7 +465,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 			s.metrics.journalErrors.Add(1)
 			s.jobs.remove(j.id)
 			w.Header().Set("Retry-After", s.retryAfterHint())
-			writeJSON(w, http.StatusServiceUnavailable, errorBody("journal write failed: "+jerr.Error()))
+			writeJSON(w, http.StatusServiceUnavailable, ErrorBody("journal write failed: "+jerr.Error()))
 			return
 		}
 	}
@@ -472,7 +473,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	s.startJob(j, spec)
 	resp, merr := json.Marshal(map[string]string{"id": j.id, "status_url": "/jobs/" + j.id})
 	if merr != nil {
-		writeJSON(w, http.StatusInternalServerError, errorBody("encoding response: "+merr.Error()))
+		writeJSON(w, http.StatusInternalServerError, ErrorBody("encoding response: "+merr.Error()))
 		return
 	}
 	writeJSON(w, http.StatusAccepted, append(resp, '\n'))
@@ -510,7 +511,7 @@ func (s *Server) startJob(j *job, spec *allocSpec) {
 			// does.
 			s.metrics.flightAbandoned.Add(1)
 			s.finishJob(j, &outcome{status: http.StatusRequestTimeout,
-				body: errorBody("job abandoned while waiting on an identical in-flight run: " + ferr.Error())}, false)
+				body: ErrorBody("job abandoned while waiting on an identical in-flight run: " + ferr.Error())}, false)
 			return
 		}
 		if shared {
@@ -568,12 +569,12 @@ func (s *Server) jobEvents(j *job) func(engine.Event) {
 func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 	j := s.jobs.get(r.PathValue("id"))
 	if j == nil {
-		writeJSON(w, http.StatusNotFound, errorBody("unknown job "+r.PathValue("id")))
+		writeJSON(w, http.StatusNotFound, ErrorBody("unknown job "+r.PathValue("id")))
 		return
 	}
 	body, err := json.Marshal(j.statusJSON())
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorBody("encoding status: "+err.Error()))
+		writeJSON(w, http.StatusInternalServerError, ErrorBody("encoding status: "+err.Error()))
 		return
 	}
 	writeJSON(w, http.StatusOK, append(body, '\n'))
@@ -593,7 +594,8 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.metrics.writePrometheus(w, s.cache.Len())
+	s.metrics.reg.Write(w)
+	engine.Metrics.Write(w)
 }
 
 // runAllocation is the singleflight leader's path: admission control,
@@ -608,7 +610,7 @@ func (s *Server) runAllocation(spec *allocSpec) *outcome {
 		s.metrics.queueRejected.Add(1)
 		return &outcome{
 			status:     http.StatusTooManyRequests,
-			body:       errorBody(fmt.Sprintf("admission queue full (%d waiting)", depth-1)),
+			body:       ErrorBody(fmt.Sprintf("admission queue full (%d waiting)", depth-1)),
 			retryAfter: s.retryAfterHint(),
 		}
 	}
@@ -625,7 +627,7 @@ func (s *Server) runAllocation(spec *allocSpec) *outcome {
 		s.metrics.queueDepth.Add(-1)
 		s.metrics.timeoutsEmpty.Add(1)
 		return &outcome{status: http.StatusRequestTimeout,
-			body: errorBody("deadline expired while queued for an engine slot; raise timeout_ms or retry later")}
+			body: ErrorBody("deadline expired while queued for an engine slot; raise timeout_ms or retry later")}
 	}
 	s.metrics.queueDepth.Add(-1)
 	defer func() { <-s.sem }()
@@ -647,19 +649,19 @@ func (s *Server) runAllocation(spec *allocSpec) *outcome {
 			// caused it, so this is a 4xx, not a server failure.
 			s.metrics.timeoutsEmpty.Add(1)
 			return &outcome{status: http.StatusRequestTimeout,
-				body: errorBody("deadline expired before any allocation was found; raise timeout_ms")}
+				body: ErrorBody("deadline expired before any allocation was found; raise timeout_ms")}
 		}
-		return &outcome{status: http.StatusUnprocessableEntity, body: errorBody(err.Error())}
+		return &outcome{status: http.StatusUnprocessableEntity, body: ErrorBody(err.Error())}
 	}
 	// Defense in depth: never serve (or cache) an illegal binding.
 	if cerr := res.Binding.Check(); cerr != nil {
 		return &outcome{status: http.StatusInternalServerError,
-			body: errorBody("internal: allocation failed legality check: " + cerr.Error())}
+			body: ErrorBody("internal: allocation failed legality check: " + cerr.Error())}
 	}
 	rj := salsa.BuildResultJSON(spec.req.Graph, des.Steps(), spec.req.Mode, spec.req.Seed, spec.req.Restarts, res, stats)
 	body, merr := json.Marshal(rj)
 	if merr != nil {
-		return &outcome{status: http.StatusInternalServerError, body: errorBody("encoding result: " + merr.Error())}
+		return &outcome{status: http.StatusInternalServerError, body: ErrorBody("encoding result: " + merr.Error())}
 	}
 	body = append(body, '\n')
 	if rj.Partial {

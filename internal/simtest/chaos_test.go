@@ -131,7 +131,7 @@ func TestFaultFreeScenarioIsQuiet(t *testing.T) {
 	if len(rr.Injected) != 0 {
 		t.Errorf("fault-free run injected faults: %v", rr.Injected)
 	}
-	for _, code := range []string{"responses_total_429", "responses_total_500", "responses_total_503"} {
+	for _, code := range []string{"http_responses_total_429", "http_responses_total_500", "http_responses_total_503"} {
 		if rr.Metrics[code] != 0 {
 			t.Errorf("%s = %d in a fault-free run", code, rr.Metrics[code])
 		}

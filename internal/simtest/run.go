@@ -336,10 +336,10 @@ func canonicalJSON(b []byte) []byte {
 	return buf.Bytes()
 }
 
-// responseCode extracts NNN from a "responses_total_NNN" metrics key.
+// responseCode extracts NNN from a "http_responses_total_NNN" metrics key.
 func responseCode(key string) (int, bool) {
 	var code int
-	if _, err := fmt.Sscanf(key, "responses_total_%d", &code); err != nil {
+	if _, err := fmt.Sscanf(key, "http_responses_total_%d", &code); err != nil {
 		return 0, false
 	}
 	return code, true
