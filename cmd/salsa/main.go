@@ -27,13 +27,10 @@ import (
 	"salsa/internal/client"
 	"salsa/internal/core"
 	"salsa/internal/datapath"
-	"salsa/internal/dpsim"
 	"salsa/internal/engine"
 	"salsa/internal/library"
-	"salsa/internal/lifetime"
 	"salsa/internal/place"
 	"salsa/internal/report"
-	"salsa/internal/rtl"
 	"salsa/internal/sched"
 	"salsa/internal/service"
 	"salsa/internal/workloads"
@@ -78,9 +75,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
+	var fds bool
+	switch strings.ToLower(*scheduler) {
+	case "list":
+	case "fds":
+		fds = true
+	default:
+		return fail(fmt.Errorf("unknown -scheduler %q", *scheduler))
+	}
+
 	g, err := loadGraph(*benchName, *cdfgPath)
 	if err != nil {
 		return fail(err)
+	}
+	params := salsa.Params{
+		Steps:                *steps,
+		PipelinedMultipliers: *pipelined,
+		ExtraRegisters:       *extraRegs,
+		ForceDirected:        fds,
 	}
 
 	if *jsonMode || *remote != "" {
@@ -92,9 +104,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// shard, cache state, attempts) on stderr, keeping stdout
 		// byte-identical either way.
 		p := jsonParams{
-			steps: *steps, pipelined: *pipelined, extraRegs: *extraRegs,
-			fds:  strings.EqualFold(*scheduler, "fds"),
-			mode: *mode, seed: *seed, restarts: *restarts,
+			params: params, mode: *mode, seed: *seed, restarts: *restarts,
 			workers: *workers, timeout: *timeout, verify: *verify,
 		}
 		if *remote != "" {
@@ -122,45 +132,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "wrote %s\n", *jsonOut)
 	}
 
-	d := cdfg.DefaultDelays(*pipelined)
-	cp := g.CriticalPath(d)
-	T := *steps
-	if T == 0 {
-		T = cp + 2
+	cp := g.CriticalPath(cdfg.DefaultDelays(*pipelined))
+	if *steps != 0 && *steps < cp {
+		return fail(fmt.Errorf("%d steps is below the critical path (%d)", *steps, cp))
 	}
-	if T < cp {
-		return fail(fmt.Errorf("%d steps is below the critical path (%d)", T, cp))
-	}
-	var (
-		a   *lifetime.Analysis
-		lim sched.Limits
-	)
-	switch strings.ToLower(*scheduler) {
-	case "list":
-		a, lim, err = lifetime.MinFUAnalysis(g, d, T)
-	case "fds":
-		a, err = lifetime.RepairFDS(g, d, T)
-		if err == nil {
-			lim = a.Sched.MinLimits()
-		}
-	default:
-		err = fmt.Errorf("unknown -scheduler %q", *scheduler)
-	}
+	des, err := salsa.Compile(g, params)
 	if err != nil {
-		return fail(err)
+		// Compile's errors already carry the "salsa: " prefix.
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	fmt.Fprintf(stdout, "schedule: %d steps (critical path %d), %d ALUs, %d multipliers, min %d registers\n",
-		T, cp, lim[sched.ClassALU], lim[sched.ClassMul], a.MinRegs)
+		des.Steps(), cp, des.Limits[sched.ClassALU], des.Limits[sched.ClassMul], des.MinRegisters())
 
-	var inputs []string
-	for i := range g.Nodes {
-		if g.Nodes[i].Op == cdfg.Input {
-			inputs = append(inputs, g.Nodes[i].Name)
-		}
-	}
-	hw := datapath.NewHardware(lim, a.MinRegs+*extraRegs, inputs, true)
-
-	engCfg := engine.Config{Workers: *workers, Timeout: *timeout}
+	engCfg := salsa.EngineConfig{Workers: *workers}
 	if *verbose {
 		engCfg.Events = func(ev engine.Event) {
 			if ev.Kind == engine.EventImproved {
@@ -169,10 +154,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	// runJobs fans the portfolio over the engine's worker pool; the
-	// winner is deterministic for any -workers value.
-	runJobs := func(name string, jobs []engine.Job) *core.Result {
-		res, stats, err := engine.Run(context.Background(), a, hw, jobs, engCfg)
+	// runJobs fans the portfolio over the engine's worker pool, each
+	// portfolio under its own -timeout; the winner is deterministic for
+	// any -workers value.
+	runJobs := func(name string, jobs []salsa.Job) *core.Result {
+		ctx, cancel := searchContext(*timeout)
+		defer cancel()
+		res, stats, err := des.AllocatePortfolio(ctx, jobs, engCfg)
 		if err != nil {
 			fmt.Fprintf(stdout, "%-12s infeasible: %v\n", name+":", err)
 			return nil
@@ -210,7 +198,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return res
 	}
 	runMode := func(name string, opts core.Options) *core.Result {
-		return runJobs(name, engine.Restarts(opts, *restarts))
+		return runJobs(name, salsa.Restarts(opts, *restarts))
 	}
 
 	var final *core.Result
@@ -220,7 +208,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "traditional":
 		final = runMode("traditional", core.TraditionalOptions(*seed))
 	case "matching":
-		res, err := core.MatchingAllocate(a, hw, core.SALSAOptions(*seed).Cfg)
+		res, err := core.MatchingAllocate(des.Analysis, des.Hardware, core.SALSAOptions(*seed).Cfg)
 		if err != nil {
 			return fail(err)
 		}
@@ -229,11 +217,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		final = res
 	case "both":
 		trad := runMode("traditional", core.TraditionalOptions(*seed))
-		jobs := engine.Restarts(core.SALSAOptions(*seed), *restarts)
+		jobs := salsa.Restarts(core.SALSAOptions(*seed), *restarts)
 		if trad != nil {
 			warm := core.SALSAOptions(*seed)
 			warm.Initial = trad.Binding
-			jobs = append(jobs, engine.Job{Label: "warm-start", Opts: warm})
+			jobs = append(jobs, salsa.Job{Label: "warm-start", Opts: warm})
 		}
 		final = runJobs("salsa", jobs)
 	default:
@@ -275,7 +263,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *verify {
-		if err := verifyAllocation(final, g, *seed); err != nil {
+		if err := des.Verify(final); err != nil {
 			return fail(fmt.Errorf("verification FAILED: %w", err))
 		}
 		fmt.Fprintln(stdout, "verified: cycle-accurate simulation matches reference semantics")
@@ -290,23 +278,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if g.Cyclic {
 			iters = 4
 		}
-		res, err := dpsim.Run(final.Binding, env, iters)
+		outs, err := des.Simulate(final, env, iters)
 		if err != nil {
 			return fail(err)
 		}
 		fmt.Fprintf(stdout, "simulation (%d iteration(s)):\n", iters)
 		var names []string
-		for name := range res.Outputs {
+		for name := range outs {
 			names = append(names, name)
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			fmt.Fprintf(stdout, "  %s = %d\n", name, res.Outputs[name])
+			fmt.Fprintf(stdout, "  %s = %d\n", name, outs[name])
 		}
 	}
 
 	if *rtlOut != "" {
-		nl, err := rtl.Emit(final.Binding, strings.ReplaceAll(g.Name, "-", "_")+"_dp")
+		nl, err := des.EmitRTL(final, strings.ReplaceAll(g.Name, "-", "_")+"_dp")
 		if err != nil {
 			return fail(err)
 		}
@@ -333,10 +321,10 @@ func runRemote(stdout, stderr io.Writer, g *cdfg.Graph, p jsonParams, baseURL st
 	}
 	ar := &service.AllocateRequest{
 		Graph:                graphJSON,
-		Steps:                p.steps,
-		PipelinedMultipliers: p.pipelined,
-		ExtraRegisters:       p.extraRegs,
-		ForceDirected:        p.fds,
+		Steps:                p.params.Steps,
+		PipelinedMultipliers: p.params.PipelinedMultipliers,
+		ExtraRegisters:       p.params.ExtraRegisters,
+		ForceDirected:        p.params.ForceDirected,
 		Mode:                 strings.ToLower(p.mode),
 		Seed:                 p.seed,
 		Restarts:             p.restarts,
@@ -364,16 +352,13 @@ func runRemote(stdout, stderr io.Writer, g *cdfg.Graph, p jsonParams, baseURL st
 
 // jsonParams carries the flag subset the -json path consumes.
 type jsonParams struct {
-	steps     int
-	pipelined bool
-	extraRegs int
-	fds       bool
-	mode      string
-	seed      int64
-	restarts  int
-	workers   int
-	timeout   time.Duration
-	verify    bool
+	params   salsa.Params
+	mode     string
+	seed     int64
+	restarts int
+	workers  int
+	timeout  time.Duration
+	verify   bool
 }
 
 // runJSON executes the allocation through the request-level façade and
@@ -381,25 +366,16 @@ type jsonParams struct {
 // service would serve for an equivalent request body.
 func runJSON(stdout, stderr io.Writer, g *cdfg.Graph, p jsonParams) int {
 	req := salsa.Request{
-		Graph: g,
-		Params: salsa.Params{
-			Steps:                p.steps,
-			PipelinedMultipliers: p.pipelined,
-			ExtraRegisters:       p.extraRegs,
-			ForceDirected:        p.fds,
-		},
+		Graph:    g,
+		Params:   p.params,
 		Mode:     strings.ToLower(p.mode),
 		Seed:     p.seed,
 		Restarts: p.restarts,
 	}.Normalize()
 	req.Engine.Workers = p.workers
 
-	ctx := context.Background()
-	if p.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, p.timeout)
-		defer cancel()
-	}
+	ctx, cancel := searchContext(p.timeout)
+	defer cancel()
 	des, res, stats, err := salsa.Execute(ctx, req)
 	if err != nil {
 		fmt.Fprintln(stderr, "salsa:", err)
@@ -412,13 +388,21 @@ func runJSON(stdout, stderr io.Writer, g *cdfg.Graph, p jsonParams) int {
 		return 1
 	}
 	if p.verify {
-		if err := verifyAllocation(res, g, p.seed); err != nil {
+		if err := des.Verify(res); err != nil {
 			fmt.Fprintln(stderr, "salsa: verification FAILED:", err)
 			return 1
 		}
 	}
 	fmt.Fprintln(stdout, string(body))
 	return 0
+}
+
+// searchContext bounds one search by -timeout; 0 means no deadline.
+func searchContext(timeout time.Duration) (context.Context, context.CancelFunc) {
+	if timeout > 0 {
+		return context.WithTimeout(context.Background(), timeout)
+	}
+	return context.WithCancel(context.Background())
 }
 
 func loadGraph(bench, path string) (*cdfg.Graph, error) {
@@ -462,24 +446,6 @@ func printBinding(stdout io.Writer, res *core.Result) {
 		}
 		fmt.Fprintf(stdout, "  %-8s born @%2d: %s\n", v.Name, v.Birth, strings.Join(segs, " "))
 	}
-}
-
-func verifyAllocation(res *core.Result, g *cdfg.Graph, seed int64) error {
-	env := cdfg.Env{}
-	x := seed
-	for i := range g.Nodes {
-		switch g.Nodes[i].Op {
-		case cdfg.Input, cdfg.State:
-			x = x*6364136223846793005 + 1442695040888963407
-			env[g.Nodes[i].Name] = (x >> 33) % 1000
-		}
-	}
-	iters := 1
-	if g.Cyclic {
-		iters = 4
-	}
-	_, err := dpsim.Run(res.Binding, env, iters)
-	return err
 }
 
 // parseEnv parses "a=1,b=-2" into an evaluation environment.

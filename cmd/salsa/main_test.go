@@ -78,6 +78,7 @@ func TestRunErrors(t *testing.T) {
 	cases := [][]string{
 		{"-bench", "nope"},
 		{"-bench", "figure1", "-mode", "quantum", "-json"},
+		{"-bench", "figure1", "-scheduler", "bogus", "-json"},
 		{"-bench", "figure1", "-cdfg", "also.json"},
 		{},
 	}

@@ -411,32 +411,6 @@ func (b *Binding) Transfers() []TransferKey {
 	return out
 }
 
-// PrunePass removes pass-through bindings whose transfer no longer
-// exists or whose FU is no longer free — called after register or FU
-// moves invalidate them. It returns the number pruned.
-func (b *Binding) PrunePass() int {
-	occ, err := b.FUOccupancy()
-	if err != nil {
-		// Leave pruning to Check; occupancy conflicts are a bug upstream.
-		return 0
-	}
-	n := 0
-	for tk, f := range b.Pass {
-		bad := b.checkTransfer(tk) != nil
-		if !bad {
-			t := b.transferStep(tk)
-			if !b.FUPassFree(occ, f, t, tk) {
-				bad = true
-			}
-		}
-		if bad {
-			delete(b.Pass, tk)
-			n++
-		}
-	}
-	return n
-}
-
 // AddCopy records a copy of value v's chain position k in register r.
 // Legality (register free) is the caller's responsibility.
 func (b *Binding) AddCopy(v lifetime.ValueID, k, r int) {

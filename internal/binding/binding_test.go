@@ -332,23 +332,6 @@ func TestPassThroughLegalityAndCost(t *testing.T) {
 	}
 }
 
-func TestPrunePassRemovesStale(t *testing.T) {
-	_, b, vid := movingFixture(t)
-	tk := TransferKey{V: vid, K: 2, ToReg: 1}
-	b.Pass[tk] = 0
-	if err := b.Check(); err != nil {
-		t.Fatal(err)
-	}
-	// Move the segment back to R0: the transfer disappears.
-	b.SegReg[vid][2] = 0
-	if n := b.PrunePass(); n != 1 {
-		t.Errorf("PrunePass = %d, want 1", n)
-	}
-	if err := b.Check(); err != nil {
-		t.Errorf("binding still illegal after prune: %v", err)
-	}
-}
-
 func TestCopiesServeReads(t *testing.T) {
 	// Figure-4 flavor: one value read by two ops on different FUs in
 	// different steps; a copy lets the second read come from another

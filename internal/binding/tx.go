@@ -631,8 +631,9 @@ func (t *Tx) UnbindPass(tk TransferKey) bool {
 }
 
 // PrunePass removes pass-through bindings whose transfer no longer
-// exists or whose FU is no longer free — the transactional counterpart
-// of Binding.PrunePass, with undo logging and dirty marking.
+// exists or whose FU is no longer free — called after register or FU
+// moves invalidate them — with undo logging and dirty marking. It
+// returns the number pruned.
 func (t *Tx) PrunePass() int {
 	occ, err := t.FUOcc()
 	if err != nil {

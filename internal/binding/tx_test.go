@@ -432,6 +432,9 @@ func TestTxPrunePassRollsBack(t *testing.T) {
 	if _, ok := b.Pass[tk]; ok {
 		t.Fatal("stale pass binding survived PrunePass")
 	}
+	if err := b.Check(); err != nil {
+		t.Fatalf("binding still illegal after prune: %v", err)
+	}
 	tx.Rollback()
 	if f, ok := b.Pass[tk]; !ok || f != 0 {
 		t.Fatalf("rollback did not restore the pruned pass binding: %v %t", f, ok)

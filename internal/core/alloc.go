@@ -9,9 +9,9 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"salsa/internal/binding"
 	"salsa/internal/datapath"
@@ -31,9 +31,6 @@ type Options struct {
 	StallTrials int
 	// MovesPerTrial is the number of moves attempted per trial.
 	MovesPerTrial int
-	// UphillQuota is the number of cost-increasing moves accepted at the
-	// start of each trial before the search turns downhill-only.
-	UphillQuota int
 
 	// EnableSegments allows different segments of a value to live in
 	// different registers (moves R1/R2 and piecewise initial binding).
@@ -80,7 +77,6 @@ func SALSAOptions(seed int64) Options {
 		MaxTrials:      40,
 		StallTrials:    3,
 		MovesPerTrial:  1500,
-		UphillQuota:    6,
 		EnableSegments: true,
 		EnablePass:     true,
 		EnableSplit:    true,
@@ -115,31 +111,32 @@ type Result struct {
 	InitialCost   binding.Cost
 
 	// Stop records why the search ended: natural termination, context
-	// cancellation, or incumbent pruning (see Control).
+	// cancellation (during the search or its polish), or incumbent
+	// pruning (see Control).
 	Stop StopReason
 }
 
 // Allocate runs the full flow: constructive initial allocation followed
 // by iterative improvement, returning the best allocation found.
 func Allocate(a *lifetime.Analysis, hw *datapath.Hardware, opts Options) (*Result, error) {
-	return AllocateControlled(a, hw, opts, nil)
+	return AllocateControlled(context.Background(), a, hw, opts, nil)
 }
 
-// AllocateControlled is Allocate with runtime hooks: cancellation via
-// ctl.Ctx (the best-so-far allocation is returned, not discarded) and
-// the trial-boundary callback portfolio engines use for incumbent
-// pruning and progress telemetry. A nil ctl behaves exactly like
-// Allocate.
-func AllocateControlled(a *lifetime.Analysis, hw *datapath.Hardware, opts Options, ctl *Control) (*Result, error) {
+// AllocateControlled is Allocate with anytime cancellation and the
+// trial-boundary hook portfolio engines use for incumbent pruning and
+// progress telemetry. Cancelling ctx stops the search between moves
+// and its polish between candidates; the best allocation found so far
+// is returned with Stop = StopCancelled, not discarded. Only a search
+// cancelled before a legal initial allocation exists fails with the
+// context's error. A nil ctl runs to natural termination.
+func AllocateControlled(ctx context.Context, a *lifetime.Analysis, hw *datapath.Hardware, opts Options, ctl *Control) (*Result, error) {
 	if opts.MaxTrials == 0 {
 		opts = withDefaults(opts)
 	}
-	if ctx := ctl.ctx(); ctx != nil {
-		// Cancelled before any legal allocation exists: nothing to
-		// return under anytime semantics.
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: allocation not started: %w", err)
-		}
+	// Cancelled before any legal allocation exists: nothing to return
+	// under anytime semantics.
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("core: allocation not started: %w", err)
 	}
 	var b *binding.Binding
 	if opts.Initial != nil {
@@ -158,49 +155,12 @@ func AllocateControlled(a *lifetime.Analysis, hw *datapath.Hardware, opts Option
 	if err != nil {
 		return nil, fmt.Errorf("core: initial allocation unevaluable: %w", err)
 	}
-	res, err := improve(b, initCost, opts, ctl)
+	res, err := improve(ctx, b, initCost, opts, ctl)
 	if err != nil {
 		return nil, err
 	}
 	res.InitialCost = initCost
 	return res, nil
-}
-
-// AllocateBest runs Allocate with restart seeds Seed..Seed+restarts-1
-// and keeps the cheapest result, mirroring the paper's "multiple trials
-// are sometimes necessary to find the best result". Restarts run
-// concurrently (they are independent searches over shared read-only
-// inputs); the winner is chosen deterministically by cost, merged mux
-// count, then lowest seed, so results are identical to a serial run.
-func AllocateBest(a *lifetime.Analysis, hw *datapath.Hardware, opts Options, restarts int) (*Result, error) {
-	if restarts < 1 {
-		restarts = 1
-	}
-	results := make([]*Result, restarts)
-	errs := make([]error, restarts)
-	var wg sync.WaitGroup
-	for i := 0; i < restarts; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			o := opts
-			o.Seed = opts.Seed + int64(i)
-			results[i], errs[i] = Allocate(a, hw, o)
-		}(i)
-	}
-	wg.Wait()
-	var best *Result
-	for i := 0; i < restarts; i++ {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		r := results[i]
-		if best == nil || r.Cost.Total < best.Cost.Total ||
-			(r.Cost.Total == best.Cost.Total && r.MergedMux < best.MergedMux) {
-			best = r
-		}
-	}
-	return best, nil
 }
 
 func withDefaults(o Options) Options {

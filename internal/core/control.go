@@ -1,10 +1,6 @@
 package core
 
-import (
-	"context"
-
-	"salsa/internal/binding"
-)
+import "salsa/internal/binding"
 
 // StopReason records why an improvement search ended.
 type StopReason int
@@ -31,19 +27,13 @@ func (s StopReason) String() string {
 	}
 }
 
-// Control carries runtime (non-configuration) hooks into one search.
-// All fields are optional; the zero value runs the search to natural
-// termination. Unlike Options, Control never influences which moves a
-// search tries — only how early it is cut off and what it reports —
-// so a search truncated at trial t is byte-identical to the prefix of
-// the same search run to completion.
+// Control carries the trial-boundary hook into one search. A nil
+// Control, or a nil TrialEnd, runs the search to natural termination.
+// Unlike Options, Control never influences which moves a search tries
+// — only how early it is cut off and what it reports — so a search
+// truncated at trial t is byte-identical to the prefix of the same
+// search run to completion.
 type Control struct {
-	// Ctx, when non-nil, cancels the search between moves. The best
-	// allocation found so far is still polished and returned (anytime
-	// semantics); only a search cancelled before a legal initial
-	// allocation exists fails with the context's error.
-	Ctx context.Context
-
 	// TrialEnd, when non-nil, is called after every completed trial
 	// with the trial index, the best binding and cost so far, whether
 	// this trial improved the best, and the cumulative move counters.
@@ -51,14 +41,6 @@ type Control struct {
 	// returned with Stop = StopPruned. The *binding.Binding argument is
 	// owned by the search: clone it before retaining.
 	TrialEnd func(trial int, best *binding.Binding, bestCost binding.Cost, improved bool, tried, accepted int) (stop bool)
-}
-
-// ctx returns the control's context, or nil when absent.
-func (c *Control) ctx() context.Context {
-	if c == nil {
-		return nil
-	}
-	return c.Ctx
 }
 
 // trialEnd invokes the TrialEnd hook if present.

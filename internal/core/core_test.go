@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"salsa/internal/binding"
@@ -129,14 +130,8 @@ func TestSALSANotWorseThanTraditional(t *testing.T) {
 		to.EnableSegments = false
 		to.EnablePass = false
 		to.EnableSplit = false
-		sres, err := AllocateBest(a, hw, so, 2)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		tres, err := AllocateBest(a, hw, to, 2)
-		if err != nil {
-			t.Fatalf("%s (traditional): %v", name, err)
-		}
+		sres := bestOf(t, a, hw, so, 2)
+		tres := bestOf(t, a, hw, to, 2)
 		// Warm-start the extended search from the traditional result:
 		// the superset move space can then never lose (the paper itself
 		// reports 2 of 14 cold-started cases one multiplexer behind the
@@ -201,25 +196,24 @@ func TestAnnealModeRuns(t *testing.T) {
 	}
 }
 
-func TestAllocateBestPicksCheapest(t *testing.T) {
-	g := workloads.FIR8()
-	a, hw := setup(t, g, 2, 1, false)
-	o := quickOpts(100)
-	best, err := AllocateBest(a, hw, o, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(0); i < 3; i++ {
+// bestOf runs Allocate at seeds o.Seed .. o.Seed+n-1 and keeps the
+// cheapest result by (cost, merged mux count, seed).
+func bestOf(t *testing.T, a *lifetime.Analysis, hw *datapath.Hardware, o Options, n int) *Result {
+	t.Helper()
+	var best *Result
+	for i := 0; i < n; i++ {
 		oi := o
-		oi.Seed = o.Seed + i
-		ri, err := Allocate(a, hw, oi)
+		oi.Seed = o.Seed + int64(i)
+		r, err := Allocate(a, hw, oi)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("seed %d: %v", oi.Seed, err)
 		}
-		if ri.Cost.Total < best.Cost.Total {
-			t.Errorf("restart %d cheaper (%d) than AllocateBest (%d)", i, ri.Cost.Total, best.Cost.Total)
+		if best == nil || r.Cost.Total < best.Cost.Total ||
+			(r.Cost.Total == best.Cost.Total && r.MergedMux < best.MergedMux) {
+			best = r
 		}
 	}
+	return best
 }
 
 func TestEWFAllocationEndToEnd(t *testing.T) {
@@ -412,11 +406,54 @@ func TestPolishSuffixMovesAvailable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb, after, _ := polish(b, before, SALSAOptions(1))
+	pb, after, _, cut := polish(context.Background(), b, before, SALSAOptions(1))
+	if cut {
+		t.Error("polish without a deadline reported a cut")
+	}
 	if after.Total > before.Total {
 		t.Errorf("polish worsened cost: %d -> %d", before.Total, after.Total)
 	}
 	if err := pb.Check(); err != nil {
 		t.Errorf("polished binding illegal: %v", err)
+	}
+}
+
+// TestFinalizeStopsWhenCancelled: with its context already cancelled,
+// Finalize skips the polish sweep, returns the legal input binding at
+// its own cost, and marks the result cancelled so no caller mistakes
+// it for the canonical, fully polished one.
+func TestFinalizeStopsWhenCancelled(t *testing.T) {
+	a, hw := setup(t, workloads.EWF(), 2, 1, false)
+	b := binding.New(a, hw, binding.DefaultConfig())
+	if err := initialAllocation(b, SALSAOptions(1)); err != nil {
+		t.Fatal(err)
+	}
+	_, before, err := b.Eval()
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := Finalize(context.Background(), b, before, SALSAOptions(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Stop != StopNatural || full.Cost.Total >= before.Total {
+		t.Fatalf("uncancelled polish: stop %v, cost %d -> %d; want natural and an improvement",
+			full.Stop, before.Total, full.Cost.Total)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := Finalize(ctx, b, before, SALSAOptions(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stop != StopCancelled {
+		t.Errorf("cancelled polish: stop %v, want cancelled", res.Stop)
+	}
+	if res.Cost != before {
+		t.Errorf("cancelled polish changed the cost: %+v -> %+v", before, res.Cost)
+	}
+	if err := res.Binding.Check(); err != nil {
+		t.Errorf("cancelled polish returned an illegal binding: %v", err)
 	}
 }

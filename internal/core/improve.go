@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -9,17 +10,20 @@ import (
 	"salsa/internal/binding"
 )
 
-// cancelCheckStride is how many moves pass between context polls; a
-// move costs at most a few dirty-sink replays, so checking every few
-// moves keeps cancellation latency in the microseconds without
-// measurable overhead on the hot path.
+// cancelCheckStride is how many moves (or polish candidates) pass
+// between context polls; a move costs at most a few dirty-sink
+// replays, so checking every few moves keeps cancellation latency in
+// the microseconds without measurable overhead on the hot path.
 const cancelCheckStride = 32
 
-// Fixed search constants. An accepted uphill move may worsen the cost
-// by at most the mux weight plus uphillSlack. Annealing, kept only as
-// an ablation, starts at temperature annealT0 and cools geometrically
-// by annealCool after each trial.
+// Fixed search constants. Each trial accepts up to uphillQuota
+// cost-increasing moves at its start before turning downhill-only, and
+// an accepted uphill move may worsen the cost by at most the mux
+// weight plus uphillSlack. Annealing, kept only as an ablation, starts
+// at temperature annealT0 and cools geometrically by annealCool after
+// each trial.
 const (
+	uphillQuota = 6
 	uphillSlack = 2
 	annealT0    = 8.0
 	annealCool  = 0.85
@@ -46,14 +50,13 @@ const (
 // approach the paper reports as inferior; it is retained as an
 // ablation.
 //
-// ctl supplies anytime semantics: context cancellation is polled
-// between moves and the TrialEnd hook may stop the search at any trial
-// boundary; in both cases the best-so-far allocation is polished and
-// returned rather than discarded.
-func improve(b *binding.Binding, initCost binding.Cost, opts Options, ctl *Control) (*Result, error) {
+// Anytime semantics: context cancellation is polled between moves and
+// the TrialEnd hook may stop the search at any trial boundary; in both
+// cases the best-so-far allocation is polished (as far as the context
+// allows) and returned rather than discarded.
+func improve(ctx context.Context, b *binding.Binding, initCost binding.Cost, opts Options, ctl *Control) (*Result, error) {
 	rng := newRNG(opts.Seed)
 	mv := newMover(b, opts, rng)
-	ctx := ctl.ctx()
 
 	cur := b
 	curCost := initCost
@@ -82,10 +85,10 @@ search:
 				return nil, fmt.Errorf("core: trial restart unevaluable: %w", err)
 			}
 		}
-		uphillLeft := opts.UphillQuota
+		uphillLeft := uphillQuota
 		improved := false
 		for i := 0; i < opts.MovesPerTrial; i++ {
-			if ctx != nil && i%cancelCheckStride == 0 && ctx.Err() != nil {
+			if i%cancelCheckStride == 0 && ctx.Err() != nil {
 				stop = StopCancelled
 				break search
 			}
@@ -168,14 +171,16 @@ search:
 		}
 	}
 
-	res, err := Finalize(best, bestCost, opts)
+	res, err := Finalize(ctx, best, bestCost, opts)
 	if err != nil {
 		return nil, err
 	}
 	res.Trials = trials
 	res.MovesTried = tried
 	res.MovesAccepted = accepted
-	res.Stop = stop
+	if res.Stop == StopNatural {
+		res.Stop = stop
+	}
 	return res, nil
 }
 
@@ -226,8 +231,13 @@ func checkRollback(tx *binding.Tx, pre *binding.Binding, preCost binding.Cost) e
 // portfolio reduction can rebuild the canonical result of a search
 // truncated at a trial boundary (see internal/engine) and obtain the
 // same bytes a live truncation at that boundary would have produced.
-func Finalize(best *binding.Binding, bestCost binding.Cost, opts Options) (*Result, error) {
-	best, bestCost, bestIC := polish(best, bestCost, opts)
+//
+// Cancelling ctx stops the polish at the next candidate boundary; the
+// result is then the legal, partially polished binding with Stop =
+// StopCancelled, which is not the canonical result. An uncancelled
+// Finalize leaves Stop = StopNatural for the caller to set.
+func Finalize(ctx context.Context, best *binding.Binding, bestCost binding.Cost, opts Options) (*Result, error) {
+	best, bestCost, bestIC, cut := polish(ctx, best, bestCost, opts)
 	if bestIC == nil {
 		// polish leaves the IC nil only when the input binding did not
 		// evaluate, which a legal search state never hits.
@@ -241,10 +251,14 @@ func Finalize(best *binding.Binding, bestCost binding.Cost, opts Options) (*Resu
 			return nil, fmt.Errorf("core: polish produced illegal binding: %w", err)
 		}
 	}
-	return &Result{
+	res := &Result{
 		Binding:   best,
 		Cost:      bestCost,
 		IC:        bestIC,
 		MergedMux: bestIC.MergedMuxCost(),
-	}, nil
+	}
+	if cut {
+		res.Stop = StopCancelled
+	}
+	return res, nil
 }

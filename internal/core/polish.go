@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"salsa/internal/binding"
 	"salsa/internal/cdfg"
 	"salsa/internal/datapath"
@@ -22,13 +24,29 @@ import (
 // unless it improves — the same delta==full invariant the search's
 // inner loop relies on, so the accepted sequence (and therefore the
 // result) is identical to a sweep that fully evaluates every candidate.
-func polish(b *binding.Binding, cost binding.Cost, opts Options) (*binding.Binding, binding.Cost, *datapath.Interconnect) {
+//
+// The context is polled only between candidates, when the transaction
+// holds exactly the committed binding, so a cancelled polish stops on
+// a legal binding no worse than its input. cut reports that it stopped
+// before the neighborhood was exhausted.
+func polish(ctx context.Context, b *binding.Binding, cost binding.Cost, opts Options) (_ *binding.Binding, _ binding.Cost, _ *datapath.Interconnect, cut bool) {
 	best := b.Clone()
 	tx, err := binding.NewTx(best)
 	if err != nil {
-		return b, cost, nil
+		return b, cost, nil, false
 	}
 	bestCost := cost
+
+	// halt is called before each candidate opens; it polls ctx every
+	// cancelCheckStride candidates, starting with the first.
+	candidates := 0
+	halt := func() bool {
+		if !cut && candidates%cancelCheckStride == 0 {
+			cut = ctx.Err() != nil
+		}
+		candidates++
+		return cut
+	}
 
 	// try closes the candidate move currently open on tx: commit when
 	// it strictly improves, roll back otherwise. A delta-evaluation
@@ -46,6 +64,7 @@ func polish(b *binding.Binding, cost binding.Cost, opts Options) (*binding.Bindi
 	}
 
 	g := best.A.Sched.G
+sweeps:
 	for sweep := 0; sweep < 20; sweep++ {
 		improved := false
 
@@ -55,6 +74,9 @@ func polish(b *binding.Binding, cost binding.Cost, opts Options) (*binding.Bindi
 			for r := range best.HW.Regs {
 				if best.SegReg[v][0] == r {
 					continue
+				}
+				if halt() {
+					break sweeps
 				}
 				tx.Begin()
 				for k := range best.SegReg[v] {
@@ -100,6 +122,9 @@ func polish(b *binding.Binding, cost binding.Cost, opts Options) (*binding.Bindi
 							}
 							if !ok {
 								continue
+							}
+							if halt() {
+								break sweeps
 							}
 							tx.Begin()
 							for kk := k; kk < val.Len; kk++ {
@@ -148,6 +173,9 @@ func polish(b *binding.Binding, cost binding.Cost, opts Options) (*binding.Bindi
 				if !free {
 					continue
 				}
+				if halt() {
+					break sweeps
+				}
 				tx.Begin()
 				tx.SetOpFU(cdfg.NodeID(i), f)
 				tx.PrunePass()
@@ -158,6 +186,9 @@ func polish(b *binding.Binding, cost binding.Cost, opts Options) (*binding.Bindi
 				}
 			}
 			if n.Op.Commutative() {
+				if halt() {
+					break sweeps
+				}
 				tx.Begin()
 				tx.FlipSwap(cdfg.NodeID(i))
 				if try() {
@@ -179,6 +210,9 @@ func polish(b *binding.Binding, cost binding.Cost, opts Options) (*binding.Bindi
 						if !best.FUPassFree(occ, f, t, tk) {
 							continue
 						}
+						if halt() {
+							break sweeps
+						}
 						tx.Begin()
 						tx.SetPass(tk, f)
 						if try() {
@@ -195,6 +229,9 @@ func polish(b *binding.Binding, cost binding.Cost, opts Options) (*binding.Bindi
 			}
 			sortTransferKeys(keys)
 			for _, tk := range keys {
+				if halt() {
+					break sweeps
+				}
 				tx.Begin()
 				tx.UnbindPass(tk)
 				if try() {
@@ -209,6 +246,9 @@ func polish(b *binding.Binding, cost binding.Cost, opts Options) (*binding.Bindi
 				val := &best.A.Values[v]
 				for k := 0; k < val.Len; k++ {
 					for _, r := range append([]int(nil), best.CopiesAt(val.ID, k)...) {
+						if halt() {
+							break sweeps
+						}
 						tx.Begin()
 						tx.RemoveCopy(val.ID, k, r)
 						tx.PrunePass()
@@ -226,7 +266,7 @@ func polish(b *binding.Binding, cost binding.Cost, opts Options) (*binding.Bindi
 	}
 	bestIC, _, err := best.Eval()
 	if err != nil {
-		return best, bestCost, nil
+		return best, bestCost, nil, cut
 	}
-	return best, bestCost, bestIC
+	return best, bestCost, bestIC, cut
 }

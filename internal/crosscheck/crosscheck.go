@@ -29,13 +29,15 @@
 package crosscheck
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"strings"
 
+	"salsa"
 	"salsa/internal/binding"
 	"salsa/internal/cdfg"
 	"salsa/internal/core"
-	"salsa/internal/datapath"
 	"salsa/internal/dpsim"
 	"salsa/internal/engine"
 	"salsa/internal/lifetime"
@@ -163,21 +165,18 @@ func (cfg Config) Run(seed int64, cs *randgraph.Case) *Report {
 		return fail(StageValidate, "generated graph invalid: %v", err)
 	}
 
-	d := cdfg.DefaultDelays(cs.PipelinedMul)
-	a, lim, err := lifetime.MinFUAnalysis(g, d, cs.Steps)
+	des, err := salsa.Compile(g, salsa.Params{
+		Steps: cs.Steps, PipelinedMultipliers: cs.PipelinedMul, ExtraRegisters: cs.ExtraRegs,
+	})
 	if err != nil {
+		// Compile prefixes its errors with "salsa: "; the report keeps
+		// the scheduler's own message.
 		rep.Status = StatusInfeasible
 		rep.Stage = StageCompile
-		rep.Detail = err.Error()
+		rep.Detail = errors.Unwrap(err).Error()
 		return rep
 	}
-	var inputs []string
-	for i := range g.Nodes {
-		if g.Nodes[i].Op == cdfg.Input {
-			inputs = append(inputs, g.Nodes[i].Name)
-		}
-	}
-	hw := datapath.NewHardware(lim, a.MinRegs+cs.ExtraRegs, inputs, true)
+	ctx := context.Background()
 
 	base := core.SALSAOptions(seed)
 	base.MaxTrials = cfg.MaxTrials
@@ -191,7 +190,7 @@ func (cfg Config) Run(seed int64, cs *randgraph.Case) *Report {
 	// The traditional model may be genuinely infeasible at tight
 	// register budgets (whole-lifetime registers color a circular-arc
 	// graph); that is one of the paper's points, not a finding.
-	tradRes, _, tradErr := engine.Run(nil, a, hw, engine.Restarts(trad, cfg.Restarts), engine.Config{Workers: 1})
+	tradRes, _, tradErr := des.AllocatePortfolio(ctx, engine.Restarts(trad, cfg.Restarts), engine.Config{Workers: 1})
 
 	jobs := engine.Restarts(base, cfg.Restarts)
 	if tradErr == nil {
@@ -199,10 +198,10 @@ func (cfg Config) Run(seed int64, cs *randgraph.Case) *Report {
 		warm.Initial = tradRes.Binding
 		jobs = append(jobs, engine.Job{Label: "warm-start", Opts: warm})
 	}
-	salsaRes, _, err := engine.Run(nil, a, hw, jobs, engine.Config{Workers: 1})
+	salsaRes, _, err := des.AllocatePortfolio(ctx, jobs, engine.Config{Workers: 1})
 	if err != nil {
 		// The extended model is feasible whenever registers cover the
-		// schedule's maximum overlap, which NewHardware guarantees; any
+		// schedule's maximum overlap, which Compile guarantees; any
 		// allocation failure is a finding.
 		return fail(StageAllocate, "extended allocation failed: %v", err)
 	}
@@ -267,7 +266,7 @@ func (cfg Config) Run(seed int64, cs *randgraph.Case) *Report {
 	for i := range paranoidJobs {
 		paranoidJobs[i].Opts.Paranoid = true
 	}
-	paranoidRes, st, err := engine.Run(nil, a, hw, paranoidJobs, engine.Config{Workers: 1})
+	paranoidRes, st, err := des.AllocatePortfolio(ctx, paranoidJobs, engine.Config{Workers: 1})
 	if err != nil {
 		return fail(StageParanoid, "%v", err)
 	}
@@ -287,7 +286,7 @@ func (cfg Config) Run(seed int64, cs *randgraph.Case) *Report {
 	}
 
 	if !cfg.DisableDeterminism {
-		again, _, err := engine.Run(nil, a, hw, jobs, engine.Config{Workers: 2})
+		again, _, err := des.AllocatePortfolio(ctx, jobs, engine.Config{Workers: 2})
 		if err != nil {
 			return fail(StageDeterminism, "re-run under 2 workers failed: %v", err)
 		}

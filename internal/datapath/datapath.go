@@ -138,16 +138,13 @@ type Use struct {
 }
 
 // Interconnect aggregates uses into per-sink multiplexer requirements.
-// The sized constructor backs the per-sink tables with dense arrays
-// (the allocator evaluates tens of thousands of candidate bindings, so
-// the accumulator is the hot path); the unsized constructor falls back
-// to a map index for ad-hoc use.
+// The per-sink tables are dense arrays sized to the hardware (the
+// allocator evaluates tens of thousands of candidate bindings, so the
+// accumulator is the hot path).
 type Interconnect struct {
-	sized           bool
 	nFU, nReg, nOut int
 	steps           int
 	dense           []int32 // sinkIndex -> nets index + 1 (0 = absent)
-	index           map[Sink]int32
 	nets            []net
 	order           []Sink
 }
@@ -162,19 +159,12 @@ type net struct {
 	needSet []bool
 }
 
-// NewInterconnect returns an empty map-indexed accumulator for ad-hoc
-// use; the allocator uses NewInterconnectSized.
-func NewInterconnect() *Interconnect {
-	return &Interconnect{index: make(map[Sink]int32)}
-}
-
 // NewInterconnectSized returns an accumulator with dense sink indexing
 // for the given hardware dimensions and step count.
 func NewInterconnectSized(numFUs, numRegs, numOuts, steps int) *Interconnect {
 	total := 2*numFUs + numRegs + numOuts
 	return &Interconnect{
-		sized: true,
-		nFU:   numFUs, nReg: numRegs, nOut: numOuts, steps: steps,
+		nFU: numFUs, nReg: numRegs, nOut: numOuts, steps: steps,
 		dense: make([]int32, total),
 	}
 }
@@ -202,32 +192,19 @@ func (ic *Interconnect) sinkIndex(s Sink) int {
 // not hold the returned pointer across later AddUse calls (the backing
 // slice may grow).
 func (ic *Interconnect) netFor(s Sink, create bool) *net {
-	if ic.sized {
-		di := ic.sinkIndex(s)
-		if di < 0 {
-			return nil
-		}
-		if ic.dense[di] == 0 {
-			if !create {
-				return nil
-			}
-			ic.nets = append(ic.nets, net{sink: s})
-			ic.order = append(ic.order, s)
-			ic.dense[di] = int32(len(ic.nets))
-		}
-		return &ic.nets[ic.dense[di]-1]
+	di := ic.sinkIndex(s)
+	if di < 0 {
+		return nil
 	}
-	idx, ok := ic.index[s]
-	if !ok {
+	if ic.dense[di] == 0 {
 		if !create {
 			return nil
 		}
 		ic.nets = append(ic.nets, net{sink: s})
 		ic.order = append(ic.order, s)
-		idx = int32(len(ic.nets))
-		ic.index[s] = idx
+		ic.dense[di] = int32(len(ic.nets))
 	}
-	return &ic.nets[idx-1]
+	return &ic.nets[ic.dense[di]-1]
 }
 
 func (n *net) hasSource(src Source) bool {

@@ -43,8 +43,12 @@ func fu(i int) Source    { return Source{Kind: SrcFU, Index: i} }
 func fuIn(i, p int) Sink { return Sink{Kind: SinkFUPort, Index: i, Port: p} }
 func regIn(i int) Sink   { return Sink{Kind: SinkReg, Index: i} }
 
+// newTestIC returns an accumulator sized for the sinks these tests use:
+// up to 3 FUs and 6 registers.
+func newTestIC() *Interconnect { return NewInterconnectSized(3, 6, 0, 8) }
+
 func TestMuxCostCounting(t *testing.T) {
-	ic := NewInterconnect()
+	ic := newTestIC()
 	mustAdd := func(u Use) {
 		t.Helper()
 		if err := ic.AddUse(u); err != nil {
@@ -72,7 +76,7 @@ func TestMuxCostCounting(t *testing.T) {
 }
 
 func TestConstSourcesAreFree(t *testing.T) {
-	ic := NewInterconnect()
+	ic := newTestIC()
 	k := Source{Kind: SrcConst, Index: 42}
 	if err := ic.AddUse(Use{Src: k, Sink: fuIn(0, 1), Step: 0}); err != nil {
 		t.Fatal(err)
@@ -89,7 +93,7 @@ func TestConstSourcesAreFree(t *testing.T) {
 }
 
 func TestConflictDetected(t *testing.T) {
-	ic := NewInterconnect()
+	ic := newTestIC()
 	if err := ic.AddUse(Use{Src: reg(0), Sink: regIn(1), Step: 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +109,7 @@ func TestConflictDetected(t *testing.T) {
 func TestMergeMuxesSharesSources(t *testing.T) {
 	// Figure-3 flavor: two sinks with identical {R0,R1} sources, used in
 	// disjoint steps -> one merged mux of cost 1 instead of 2.
-	ic := NewInterconnect()
+	ic := newTestIC()
 	adds := []Use{
 		{Src: reg(0), Sink: fuIn(0, 0), Step: 0},
 		{Src: reg(1), Sink: fuIn(0, 0), Step: 1},
@@ -132,7 +136,7 @@ func TestMergeMuxesSharesSources(t *testing.T) {
 func TestMergeRespectsStepConflicts(t *testing.T) {
 	// Same source sets but both needed in step 0 with different sources:
 	// cannot merge.
-	ic := NewInterconnect()
+	ic := newTestIC()
 	adds := []Use{
 		{Src: reg(0), Sink: fuIn(0, 0), Step: 0},
 		{Src: reg(1), Sink: fuIn(0, 0), Step: 1},
@@ -152,7 +156,7 @@ func TestMergeRespectsStepConflicts(t *testing.T) {
 func TestMergeSkipsDisjointSources(t *testing.T) {
 	// Disjoint source sets must not merge even when steps are
 	// compatible: the union would cost more.
-	ic := NewInterconnect()
+	ic := newTestIC()
 	adds := []Use{
 		{Src: reg(0), Sink: fuIn(0, 0), Step: 0},
 		{Src: reg(1), Sink: fuIn(0, 0), Step: 1},
@@ -192,7 +196,7 @@ func TestSourceSinkStrings(t *testing.T) {
 // randomInterconnect builds a conflict-free random use set.
 func randomInterconnect(seed int64) *Interconnect {
 	rng := rand.New(rand.NewSource(seed))
-	ic := NewInterconnect()
+	ic := newTestIC()
 	taken := make(map[Sink]map[int]Source)
 	nSinks := 2 + rng.Intn(8)
 	for s := 0; s < nSinks; s++ {

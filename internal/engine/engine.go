@@ -31,9 +31,11 @@
 //     best-so-far at the boundary — the same bytes a live stop there
 //     would have produced).
 //
-// Cancellation is the one escape hatch: a deadline stops jobs mid-
-// trial, which is inherently timing-dependent, so runs that hit their
-// deadline trade the determinism guarantee for the anytime result.
+// Cancellation is the one escape hatch: the run's context is its only
+// deadline. It stops jobs mid-trial and their polish between
+// candidates, which is inherently timing-dependent, so runs that hit
+// their deadline trade the determinism guarantee for the anytime
+// result and report every job it cut off as cancelled.
 package engine
 
 import (
@@ -58,13 +60,6 @@ type Config struct {
 	// GOMAXPROCS. Workers = 1 is the sequential degenerate case: jobs
 	// run one at a time in portfolio order.
 	Workers int
-	// Timeout, when positive, bounds the whole portfolio's wall time;
-	// on expiry the best allocation found so far is returned.
-	Timeout time.Duration
-	// DisablePruning turns shared-incumbent pruning off, running every
-	// job to natural termination (useful for measuring what pruning
-	// saves).
-	DisablePruning bool
 	// Events, when non-nil, receives progress telemetry. Invocations
 	// are serialized; the callback must not block for long or it will
 	// stall the search workers.
@@ -80,23 +75,13 @@ type Config struct {
 
 // Run executes the portfolio against one shared (read-only) analysis
 // and hardware set and returns the winning allocation, aggregate
-// statistics, and an error only when no job produced a result. See the
-// package comment for the determinism contract.
+// statistics, and an error only when no job produced a result. ctx
+// bounds the run: on cancellation every job returns its best-so-far
+// promptly. See the package comment for the determinism contract.
 func Run(ctx context.Context, a *lifetime.Analysis, hw *datapath.Hardware, jobs []Job, cfg Config) (*core.Result, *Stats, error) {
 	start := time.Now()
 	if len(jobs) == 0 {
 		return nil, nil, errors.New("engine: empty portfolio")
-	}
-	if ctx == nil {
-		// A nil ctx means the caller opted out of cancellation; there is
-		// no caller context to derive from.
-		//lint:ctxflow nil-ctx default, no caller context exists to derive from
-		ctx = context.Background()
-	}
-	if cfg.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.Timeout)
-		defer cancel()
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -150,7 +135,7 @@ func Run(ctx context.Context, a *lifetime.Analysis, hw *datapath.Hardware, jobs 
 		idx := <-done
 		finished[idx] = true
 		for resolved < len(jobs) && finished[resolved] {
-			eng.resolve(resolved, outcomes[resolved], st, &winner)
+			eng.resolve(ctx, resolved, outcomes[resolved], st, &winner)
 			resolved++
 		}
 	}
@@ -252,10 +237,6 @@ func (eng *run) runJob(ctx context.Context, a *lifetime.Analysis, hw *datapath.H
 	eng.emit(Event{Kind: EventJobStarted, Job: idx, Label: job.Label, Seed: job.Opts.Seed})
 	out := &outcome{}
 	ctl := &core.Control{
-		// core.Control is a framework slot: the core allocator takes its
-		// cancellation signal through this struct rather than a parameter.
-		//lint:ctxflow core.Control is the allocator's designed context carrier
-		Ctx: ctx,
 		TrialEnd: func(trial int, best *binding.Binding, bestCost binding.Cost, improved bool, tried, accepted int) bool {
 			if eng.cfg.TrialHook != nil {
 				eng.cfg.TrialHook(idx, trial)
@@ -271,9 +252,6 @@ func (eng *run) runJob(ctx context.Context, a *lifetime.Analysis, hw *datapath.H
 			if improved {
 				eng.improvedTo(idx, trial, bestCost.Total)
 			}
-			if eng.cfg.DisablePruning {
-				return false
-			}
 			// The live pruning check: a stalled walk that cannot beat
 			// the canonical incumbent gives up. The incumbent may lag
 			// the canonical value (lower-index jobs still in flight),
@@ -282,14 +260,14 @@ func (eng *run) runJob(ctx context.Context, a *lifetime.Analysis, hw *datapath.H
 			return !improved && int64(bestCost.Total) > eng.incumbent.Load()
 		},
 	}
-	out.res, out.err = core.AllocateControlled(a, hw, job.Opts, ctl)
+	out.res, out.err = core.AllocateControlled(ctx, a, hw, job.Opts, ctl)
 	out.dur = time.Since(t0)
 	return out
 }
 
 // resolve folds job idx's outcome into the reduction. It is called in
 // strict portfolio order from the single reduction goroutine.
-func (eng *run) resolve(idx int, out *outcome, st *Stats, winner **core.Result) {
+func (eng *run) resolve(ctx context.Context, idx int, out *outcome, st *Stats, winner **core.Result) {
 	job := eng.jobs[idx]
 	jr := JobResult{Job: idx, Label: job.Label, Seed: job.Opts.Seed, Duration: out.dur, Err: out.err}
 
@@ -305,32 +283,43 @@ func (eng *run) resolve(idx int, out *outcome, st *Stats, winner **core.Result) 
 			statJobsFailed.Add(1)
 		}
 	case res.Stop == core.StopCancelled:
-		// Deadline hit mid-trial: keep the anytime best-so-far as is.
-		// Determinism is forfeited for this run by definition.
+		// Deadline hit mid-search or mid-polish: keep the anytime
+		// best-so-far as is. Determinism is forfeited for this run by
+		// definition.
 		jr.Cancelled = true
 		st.Cancelled++
 		statJobsCancelled.Add(1)
 	default:
-		if t := eng.canonicalStop(out.log); t >= 0 {
+		t := eng.canonicalStop(out.log)
+		if t < 0 {
+			break
+		}
+		if t == len(out.log)-1 {
+			res.Stop = core.StopPruned
+		} else {
+			// The job overran its canonical boundary before the
+			// incumbent caught up with it; rebuild the canonical result
+			// from the recorded trajectory.
+			trunc, err := eng.truncate(ctx, out, t, job.Opts)
+			if err != nil {
+				jr.Err = err
+				st.Failed++
+				statJobsFailed.Add(1)
+				res = nil
+				break
+			}
+			res = trunc
+		}
+		if res.Stop == core.StopCancelled {
+			// The deadline cut the rebuild's polish: the result is
+			// legal but not the canonical one.
+			jr.Cancelled = true
+			st.Cancelled++
+			statJobsCancelled.Add(1)
+		} else {
 			jr.Pruned = true
 			st.Pruned++
 			statJobsPruned.Add(1)
-			if t < len(out.log)-1 {
-				// The job overran its canonical boundary before the
-				// incumbent caught up with it; rebuild the canonical
-				// result from the recorded trajectory.
-				trunc, err := eng.truncate(out, t, job.Opts)
-				if err != nil {
-					jr.Err = err
-					st.Failed++
-					statJobsFailed.Add(1)
-					res = nil
-					break
-				}
-				res = trunc
-			} else {
-				res.Stop = core.StopPruned
-			}
 		}
 	}
 
@@ -378,9 +367,6 @@ func (eng *run) resolve(idx int, out *outcome, st *Stats, winner **core.Result) 
 // reduction goroutine, after all lower-index jobs have been resolved,
 // so the answer is independent of worker count and timing.
 func (eng *run) canonicalStop(log []trialRec) int {
-	if eng.cfg.DisablePruning {
-		return -1
-	}
 	inc := eng.incumbent.Load()
 	for t := range log {
 		if !log[t].improved && int64(log[t].total) > inc {
@@ -392,8 +378,9 @@ func (eng *run) canonicalStop(log []trialRec) int {
 
 // truncate rebuilds the canonical result of a job stopped at trial
 // boundary t: the recorded best-so-far at t, polished exactly as a
-// live stop there would have polished it.
-func (eng *run) truncate(out *outcome, t int, opts core.Options) (*core.Result, error) {
+// live stop there would have polished it. When ctx cuts the polish,
+// the result keeps Stop = StopCancelled.
+func (eng *run) truncate(ctx context.Context, out *outcome, t int, opts core.Options) (*core.Result, error) {
 	var best *binding.Binding
 	for k := t; k >= 0; k-- {
 		if out.log[k].best != nil {
@@ -404,7 +391,7 @@ func (eng *run) truncate(out *outcome, t int, opts core.Options) (*core.Result, 
 	if best == nil {
 		return nil, errors.New("engine: trajectory log missing best binding")
 	}
-	res, err := core.Finalize(best, out.log[t].cost, opts)
+	res, err := core.Finalize(ctx, best, out.log[t].cost, opts)
 	if err != nil {
 		return nil, fmt.Errorf("engine: canonical truncation: %w", err)
 	}
@@ -412,6 +399,8 @@ func (eng *run) truncate(out *outcome, t int, opts core.Options) (*core.Result, 
 	res.MovesTried = out.log[t].tried
 	res.MovesAccepted = out.log[t].accepted
 	res.InitialCost = out.res.InitialCost
-	res.Stop = core.StopPruned
+	if res.Stop == core.StopNatural {
+		res.Stop = core.StopPruned
+	}
 	return res, nil
 }

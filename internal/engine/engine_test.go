@@ -84,11 +84,17 @@ func mixedPortfolio(seed int64, restarts int) []engine.Job {
 	to.EnableSplit = false
 	ao := quickOpts(seed)
 	ao.Anneal = true
-	return engine.Portfolio([]engine.Variant{
-		{Name: "salsa", Opts: so},
-		{Name: "traditional", Opts: to},
-		{Name: "anneal", Opts: ao},
-	}, restarts)
+	var jobs []engine.Job
+	for _, v := range []struct {
+		name string
+		opts core.Options
+	}{{"salsa", so}, {"traditional", to}, {"anneal", ao}} {
+		for _, j := range engine.Restarts(v.opts, restarts) {
+			j.Label = v.name + "/" + j.Label
+			jobs = append(jobs, j)
+		}
+	}
+	return jobs
 }
 
 // TestDeterministicAcrossWorkers is the engine's central contract: the
@@ -195,30 +201,66 @@ func assertCounterDeltas(t *testing.T, name string, workers int, before map[stri
 	}
 }
 
-// TestMatchesAllocateBest: with pruning disabled, the engine's multi-
-// start portfolio reduces to exactly core.AllocateBest's answer — the
-// sequential path is the degenerate case, not a separate code path.
-func TestMatchesAllocateBest(t *testing.T) {
+// TestPerJobMatchesDirectAllocate: the engine runs each job as the
+// plain core.Allocate it would be on its own. For any worker count,
+// every job the engine neither pruned nor cancelled reports the cost
+// and search effort of a direct core.Allocate at its seed, and the
+// winner is the (cost, merged, index) minimum of the per-job results
+// with the direct run's exact binding — the sequential path is the
+// degenerate case, not a separate code path.
+func TestPerJobMatchesDirectAllocate(t *testing.T) {
 	a, hw := setup(t, workloads.Tseng(), 2, 1)
-	o := quickOpts(11)
-	want, err := core.AllocateBest(a, hw, o, 3)
-	if err != nil {
-		t.Fatal(err)
+	o := quickOpts(3)
+	o.MovesPerTrial = 120
+	o.MaxTrials = 6
+	jobs := engine.Restarts(o, 8)
+	direct := make([]*core.Result, len(jobs))
+	for i, j := range jobs {
+		var err error
+		if direct[i], err = core.Allocate(a, hw, j.Opts); err != nil {
+			t.Fatal(err)
+		}
 	}
-	for _, workers := range []int{1, 4} {
-		got, _, err := engine.Run(context.Background(), a, hw, engine.Restarts(o, 3),
-			engine.Config{Workers: workers, DisablePruning: true})
+	compared := 0
+	for workers := 1; workers <= 4; workers++ {
+		res, st, err := engine.Run(context.Background(), a, hw, jobs, engine.Config{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Cost != want.Cost || got.MergedMux != want.MergedMux {
-			t.Errorf("workers=%d: engine %v/%d != AllocateBest %v/%d",
-				workers, got.Cost, got.MergedMux, want.Cost, want.MergedMux)
+		best := -1
+		for i, jr := range st.PerJob {
+			if jr.Err != nil {
+				t.Fatalf("workers=%d: job %d failed: %v", workers, i, jr.Err)
+			}
+			if best < 0 || jr.Cost.Total < st.PerJob[best].Cost.Total ||
+				(jr.Cost.Total == st.PerJob[best].Cost.Total && jr.Merged < st.PerJob[best].Merged) {
+				best = i
+			}
+			if jr.Pruned || jr.Cancelled {
+				continue
+			}
+			compared++
+			d := direct[i]
+			if jr.Cost != d.Cost || jr.Merged != d.MergedMux || jr.Trials != d.Trials ||
+				jr.MovesTried != d.MovesTried || jr.MovesAccepted != d.MovesAccepted {
+				t.Errorf("workers=%d: job %d = %+v, direct Allocate cost %+v merged %d trials %d moves %d/%d",
+					workers, i, jr, d.Cost, d.MergedMux, d.Trials, d.MovesAccepted, d.MovesTried)
+			}
 		}
-		if fingerprint(got.Binding) != fingerprint(want.Binding) {
-			t.Errorf("workers=%d: engine binding differs from AllocateBest", workers)
+		if st.BestJob != best {
+			t.Errorf("workers=%d: winner job %d, want per-job minimum %d", workers, st.BestJob, best)
+		}
+		if st.PerJob[best].Pruned || st.PerJob[best].Cancelled {
+			t.Fatalf("workers=%d: winner job %d was cut short", workers, best)
+		}
+		if res.Cost != direct[best].Cost || fingerprint(res.Binding) != fingerprint(direct[best].Binding) {
+			t.Errorf("workers=%d: winner binding differs from a direct Allocate at seed %d", workers, jobs[best].Opts.Seed)
 		}
 	}
+	if compared == 0 {
+		t.Fatal("every job was pruned; nothing compared")
+	}
+	t.Logf("compared %d unpruned job results over 4 worker counts", compared)
 }
 
 // TestCancellationReturnsLegalBestSoFar cancels mid-search (after the
@@ -260,8 +302,8 @@ func TestCancellationReturnsLegalBestSoFar(t *testing.T) {
 		st.Wall.Round(time.Millisecond), res.Cost.Total, res.MergedMux, st.Cancelled)
 }
 
-// TestDeadline exercises Config.Timeout: a run with an absurd budget
-// still returns an allocation within the deadline's order of
+// TestDeadline: a context deadline bounds a run with an absurd budget,
+// which still returns an allocation within the deadline's order of
 // magnitude.
 func TestDeadline(t *testing.T) {
 	a, hw := setup(t, workloads.EWF(), 2, 1)
@@ -269,9 +311,10 @@ func TestDeadline(t *testing.T) {
 	o.MovesPerTrial = 50000
 	o.MaxTrials = 10000
 	o.StallTrials = 10000
+	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
+	defer cancel()
 	t0 := time.Now()
-	res, st, err := engine.Run(context.Background(), a, hw, engine.Restarts(o, 2),
-		engine.Config{Workers: 2, Timeout: 150 * time.Millisecond})
+	res, st, err := engine.Run(ctx, a, hw, engine.Restarts(o, 2), engine.Config{Workers: 2})
 	if err != nil {
 		t.Fatalf("deadline run failed outright: %v", err)
 	}
@@ -335,12 +378,13 @@ func TestIncumbentStress(t *testing.T) {
 	t.Logf("stress: %d jobs, %d pruned, best job %d cost %d", st1.Jobs, st1.Pruned, st1.BestJob, r1.Cost.Total)
 }
 
-// TestPortfolioLabelsAndOrder checks the portfolio constructors'
-// labelling and tie-break ordering contract.
+// TestPortfolioLabelsAndOrder checks the restart portfolio's
+// labelling and tie-break ordering contract: seeds ascend from
+// opts.Seed, and a width below one still yields one job.
 func TestPortfolioLabelsAndOrder(t *testing.T) {
 	o := quickOpts(5)
-	jobs := engine.Portfolio([]engine.Variant{{Name: "a", Opts: o}, {Name: "b", Opts: o}}, 2)
-	want := []string{"a/seed=5", "a/seed=6", "b/seed=5", "b/seed=6"}
+	jobs := engine.Restarts(o, 3)
+	want := []string{"seed=5", "seed=6", "seed=7"}
 	if len(jobs) != len(want) {
 		t.Fatalf("got %d jobs, want %d", len(jobs), len(want))
 	}
@@ -348,9 +392,12 @@ func TestPortfolioLabelsAndOrder(t *testing.T) {
 		if j.Label != want[i] {
 			t.Errorf("job %d label = %q, want %q", i, j.Label, want[i])
 		}
-		if j.Opts.Seed != o.Seed+int64(i%2) {
+		if j.Opts.Seed != o.Seed+int64(i) {
 			t.Errorf("job %d seed = %d", i, j.Opts.Seed)
 		}
+	}
+	if n := len(engine.Restarts(o, 0)); n != 1 {
+		t.Errorf("Restarts(opts, 0) = %d jobs, want 1", n)
 	}
 }
 
@@ -371,10 +418,10 @@ func TestMixedFeasibility(t *testing.T) {
 	to.EnableSegments = false
 	to.EnablePass = false
 	to.EnableSplit = false
-	jobs := engine.Portfolio([]engine.Variant{
-		{Name: "traditional", Opts: to},
-		{Name: "salsa", Opts: quickOpts(1)},
-	}, 1)
+	jobs := []engine.Job{
+		{Label: "traditional", Opts: to},
+		{Label: "salsa", Opts: quickOpts(1)},
+	}
 	res, st, err := engine.Run(context.Background(), a, hw, jobs, engine.Config{})
 	if err != nil {
 		t.Fatalf("portfolio with one infeasible member failed: %v", err)
@@ -451,5 +498,103 @@ func TestCancellationOnGeneratedWorkloads(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("every seed was infeasible; the test never exercised cancellation")
+	}
+}
+
+// TestDeadlineBoundsPolish holds the anytime contract on graphs large
+// enough that the polish sweep dominates: with a 100 ms deadline the
+// run returns within a fixed slack of it, with a legal allocation
+// marked cancelled (partial), because polish stops at the next
+// candidate boundary instead of running its sweeps to the end.
+func TestDeadlineBoundsPolish(t *testing.T) {
+	const (
+		deadline = 100 * time.Millisecond
+		// Measured under -race on a 2-vCPU Xeon: Synth200 returned after
+		// 107-109 ms and Synth300 after 115-117 ms. Without the polish
+		// check they returned after 0.7 s and 2.5 s (no -race).
+		slack = 250 * time.Millisecond
+	)
+	for _, n := range []int{200, 300} {
+		a, hw := setup(t, workloads.Synthetic(n, 7), 2, 0)
+		ctx, cancel := context.WithTimeout(context.Background(), deadline)
+		t0 := time.Now()
+		res, st, err := engine.Run(ctx, a, hw, engine.Restarts(core.SALSAOptions(1), 1), engine.Config{Workers: 1})
+		wall := time.Since(t0)
+		cancel()
+		if err != nil {
+			t.Fatalf("synth%d: %v", n, err)
+		}
+		t.Logf("synth%d: returned after %s (deadline %s), stop %v", n, wall.Round(time.Millisecond), deadline, res.Stop)
+		if wall > deadline+slack {
+			t.Errorf("synth%d: returned after %s, want within %s of the %s deadline", n, wall, slack, deadline)
+		}
+		if err := res.Binding.Check(); err != nil {
+			t.Errorf("synth%d: result illegal: %v", n, err)
+		}
+		if res.Stop != core.StopCancelled || st.Cancelled != 1 {
+			t.Errorf("synth%d: stop %v with %d cancelled jobs; want a cancelled (partial) result", n, res.Stop, st.Cancelled)
+		}
+	}
+}
+
+// TestCancelledTruncationIsPartial: a job that overran its canonical
+// pruning boundary is rebuilt by re-polishing its best at the
+// boundary. When the deadline has passed by then, the rebuild's polish
+// is cut, so the job must be reported cancelled (partial), never
+// pruned with a non-canonical result.
+//
+// Two workers run three jobs. Job 0, a warm start from a finished
+// allocation, parks at its first trial end; job 1, a short cold
+// search, runs to its natural end on the other worker while the
+// incumbent is still unset; job 2 then starts on that worker, cancels
+// the run and releases job 0. Job 0's cost, fixed after its first
+// trial, puts job 1's canonical boundary before its last trial.
+func TestCancelledTruncationIsPartial(t *testing.T) {
+	a, hw := setup(t, workloads.EWF(), 2, 1)
+	good, err := core.Allocate(a, hw, quickOpts(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := quickOpts(1)
+	warm.Initial = good.Binding
+	cold := quickOpts(2)
+	cold.MovesPerTrial = 20
+	jobs := []engine.Job{
+		{Label: "warm", Opts: warm},
+		{Label: "cold", Opts: cold},
+		{Label: "last", Opts: quickOpts(3)},
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	release := make(chan struct{})
+	var once sync.Once
+	cfg := engine.Config{
+		Workers: 2,
+		TrialHook: func(job, trial int) {
+			switch {
+			case job == 0 && trial == 0:
+				<-release
+			case job == 2:
+				once.Do(func() {
+					cancel()
+					close(release)
+				})
+			}
+		},
+	}
+	res, st, err := engine.Run(ctx, a, hw, jobs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Binding.Check(); err != nil {
+		t.Errorf("winner illegal: %v", err)
+	}
+	if jr := st.PerJob[1]; jr.Pruned || !jr.Cancelled {
+		t.Errorf("overrun job rebuilt after the deadline: pruned=%t cancelled=%t, want a cancelled (partial) job",
+			jr.Pruned, jr.Cancelled)
+	}
+	if st.Pruned != 0 || st.Cancelled != 3 {
+		t.Errorf("pruned %d, cancelled %d; want 0 and 3: %+v", st.Pruned, st.Cancelled, st.PerJob)
 	}
 }

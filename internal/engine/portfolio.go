@@ -21,8 +21,7 @@ type Job struct {
 
 // Restarts builds the classic multi-start portfolio: n copies of opts
 // whose seeds are the derived sequence opts.Seed .. opts.Seed+n-1, in
-// that order. With n < 1 a single job is returned. Running this
-// portfolio through Run reproduces core.AllocateBest's winner.
+// that order. With n < 1 a single job is returned.
 func Restarts(opts core.Options, n int) []Job {
 	if n < 1 {
 		n = 1
@@ -32,32 +31,6 @@ func Restarts(opts core.Options, n int) []Job {
 		o := opts
 		o.Seed = opts.Seed + int64(i)
 		jobs[i] = Job{Label: fmt.Sprintf("seed=%d", o.Seed), Opts: o}
-	}
-	return jobs
-}
-
-// Variant names an Options configuration for mixed-portfolio
-// construction.
-type Variant struct {
-	Name string
-	Opts core.Options
-}
-
-// Portfolio crosses option variants with derived seeds: for each
-// variant in order, restarts jobs seeded Opts.Seed .. Opts.Seed+
-// restarts-1, labelled "name/seed=k". The job order — variants in the
-// given order, seeds ascending within each — fixes the deterministic
-// tie-break.
-func Portfolio(variants []Variant, restarts int) []Job {
-	if restarts < 1 {
-		restarts = 1
-	}
-	jobs := make([]Job, 0, len(variants)*restarts)
-	for _, v := range variants {
-		for _, j := range Restarts(v.Opts, restarts) {
-			j.Label = v.Name + "/" + j.Label
-			jobs = append(jobs, j)
-		}
 	}
 	return jobs
 }

@@ -11,13 +11,11 @@ import (
 	"fmt"
 	"math/rand"
 
+	"salsa"
 	"salsa/internal/binding"
 	"salsa/internal/cdfg"
 	"salsa/internal/core"
-	"salsa/internal/datapath"
 	"salsa/internal/dpsim"
-	"salsa/internal/engine"
-	"salsa/internal/lifetime"
 	"salsa/internal/sched"
 	"salsa/internal/vsim"
 	"salsa/internal/workloads"
@@ -99,9 +97,9 @@ func (c Config) salsaOpts() core.Options {
 
 // allocateBest runs the restart portfolio on the parallel engine; the
 // winner is deterministic regardless of Workers.
-func (c Config) allocateBest(a *lifetime.Analysis, hw *datapath.Hardware, opts core.Options) (*core.Result, error) {
-	res, _, err := engine.Run(context.Background(), a, hw,
-		engine.Restarts(opts, c.Restarts), engine.Config{Workers: c.Workers})
+func (c Config) allocateBest(des *salsa.Design, opts core.Options) (*core.Result, error) {
+	res, _, err := des.AllocatePortfolio(context.Background(),
+		salsa.Restarts(opts, c.Restarts), salsa.EngineConfig{Workers: c.Workers})
 	return res, err
 }
 
@@ -115,24 +113,14 @@ func Point(g *cdfg.Graph, steps int, pipelined bool, extraRegs int, cfg Config) 
 // runPoint allocates one (graph, steps, pipelined, regBudget) point
 // under both models.
 func runPoint(id string, g *cdfg.Graph, steps int, pipelined bool, extraRegs int, cfg Config) (Row, error) {
-	d := cdfg.DefaultDelays(pipelined)
-	a, lim, err := lifetime.MinFUAnalysis(g, d, steps)
+	des, err := salsa.Compile(g, salsa.Params{Steps: steps, PipelinedMultipliers: pipelined, ExtraRegisters: extraRegs})
 	if err != nil {
 		return Row{}, fmt.Errorf("%s: %w", id, err)
 	}
-	var inputs []string
-	for i := range g.Nodes {
-		if g.Nodes[i].Op == cdfg.Input {
-			inputs = append(inputs, g.Nodes[i].Name)
-		}
-	}
-	budget := a.MinRegs + extraRegs
-	hw := datapath.NewHardware(lim, budget, inputs, true)
-
 	row := Row{
 		ID: id, Workload: g.Name, Steps: steps, Pipelined: pipelined,
-		ALUs: lim[sched.ClassALU], Muls: lim[sched.ClassMul],
-		MinRegs: a.MinRegs, Regs: budget,
+		ALUs: des.Limits[sched.ClassALU], Muls: des.Limits[sched.ClassMul],
+		MinRegs: des.MinRegisters(), Regs: len(des.Hardware.Regs),
 	}
 
 	// Traditional baseline.
@@ -140,7 +128,7 @@ func runPoint(id string, g *cdfg.Graph, steps int, pipelined bool, extraRegs int
 	tOpts.EnableSegments = false
 	tOpts.EnablePass = false
 	tOpts.EnableSplit = false
-	tRes, tErr := cfg.allocateBest(a, hw, tOpts)
+	tRes, tErr := cfg.allocateBest(des, tOpts)
 	if tErr == nil {
 		row.TradFeasible = true
 		row.TradMux = tRes.Cost.MuxCost
@@ -152,7 +140,7 @@ func runPoint(id string, g *cdfg.Graph, steps int, pipelined bool, extraRegs int
 	// warm start from it (the extended space contains the traditional
 	// one, so the warm run can only match or improve it).
 	sOpts := cfg.salsaOpts()
-	sRes, err := cfg.allocateBest(a, hw, sOpts)
+	sRes, err := cfg.allocateBest(des, sOpts)
 	if err != nil {
 		return Row{}, fmt.Errorf("%s: %w", id, err)
 	}
@@ -167,7 +155,7 @@ func runPoint(id string, g *cdfg.Graph, steps int, pipelined bool, extraRegs int
 	if tErr == nil {
 		warm := sOpts
 		warm.Initial = tRes.Binding
-		wRes, err := core.Allocate(a, hw, warm)
+		wRes, err := core.Allocate(des.Analysis, des.Hardware, warm)
 		if err == nil && better(wRes, sRes) {
 			sRes = wRes
 		}
@@ -312,13 +300,10 @@ type AblationRow struct {
 // segmentation disabled (≡ traditional model), and the
 // simulated-annealing acceptance rule the paper found inferior.
 func Ablation(cfg Config) ([]AblationRow, error) {
-	g := workloads.EWF()
-	d := cdfg.DefaultDelays(false)
-	a, lim, err := lifetime.MinFUAnalysis(g, d, 19)
+	des, err := salsa.Compile(workloads.EWF(), salsa.Params{Steps: 19, ExtraRegisters: 1})
 	if err != nil {
 		return nil, err
 	}
-	hw := datapath.NewHardware(lim, a.MinRegs+1, []string{"in"}, true)
 
 	// All extended variants warm-start from one shared traditional
 	// baseline so the table isolates what each binding-model extension
@@ -327,7 +312,7 @@ func Ablation(cfg Config) ([]AblationRow, error) {
 	tOpts.EnableSegments = false
 	tOpts.EnablePass = false
 	tOpts.EnableSplit = false
-	base, err := cfg.allocateBest(a, hw, tOpts)
+	base, err := cfg.allocateBest(des, tOpts)
 	if err != nil {
 		return nil, fmt.Errorf("traditional baseline: %w", err)
 	}
@@ -351,11 +336,11 @@ func Ablation(cfg Config) ([]AblationRow, error) {
 		o := cfg.salsaOpts()
 		v.mod(&o)
 		o.Initial = base.Binding
-		res, err := core.Allocate(a, hw, o)
+		res, err := core.Allocate(des.Analysis, des.Hardware, o)
 		if err != nil {
 			return rows, fmt.Errorf("%s: %w", v.name, err)
 		}
-		if cold, err2 := cfg.allocateBest(a, hw, func() core.Options {
+		if cold, err2 := cfg.allocateBest(des, func() core.Options {
 			c := o
 			c.Initial = nil
 			return c
@@ -413,30 +398,13 @@ func SchedulerStudy(cfg Config) ([]SchedRow, error) {
 	var rows []SchedRow
 	for _, p := range points {
 		for _, which := range []string{"list", "fds"} {
-			g := p.build()
-			d := cdfg.DefaultDelays(false)
-			var a *lifetime.Analysis
-			var lim sched.Limits
-			var err error
-			if which == "list" {
-				a, lim, err = lifetime.MinFUAnalysis(g, d, p.steps)
-			} else {
-				a, err = lifetime.RepairFDS(g, d, p.steps)
-				if err == nil {
-					lim = a.Sched.MinLimits()
-				}
-			}
+			des, err := salsa.Compile(p.build(), salsa.Params{
+				Steps: p.steps, ExtraRegisters: 1, ForceDirected: which == "fds",
+			})
 			if err != nil {
 				return rows, fmt.Errorf("%s@%d/%s: %w", p.name, p.steps, which, err)
 			}
-			var inputs []string
-			for i := range g.Nodes {
-				if g.Nodes[i].Op == cdfg.Input {
-					inputs = append(inputs, g.Nodes[i].Name)
-				}
-			}
-			hw := datapath.NewHardware(lim, a.MinRegs+1, inputs, true)
-			res, err := cfg.allocateBest(a, hw, cfg.salsaOpts())
+			res, err := cfg.allocateBest(des, cfg.salsaOpts())
 			if err != nil {
 				return rows, fmt.Errorf("%s@%d/%s: %w", p.name, p.steps, which, err)
 			}
@@ -447,8 +415,8 @@ func SchedulerStudy(cfg Config) ([]SchedRow, error) {
 			}
 			rows = append(rows, SchedRow{
 				Workload: p.name, Steps: p.steps, Scheduler: which,
-				ALUs: lim[sched.ClassALU], Muls: lim[sched.ClassMul],
-				MinRegs: a.MinRegs, Merged: res.MergedMux,
+				ALUs: des.Limits[sched.ClassALU], Muls: des.Limits[sched.ClassMul],
+				MinRegs: des.MinRegisters(), Merged: res.MergedMux,
 			})
 		}
 	}
@@ -482,19 +450,11 @@ func BaselineStudy(cfg Config) ([]BaselineRow, error) {
 	}
 	var rows []BaselineRow
 	for _, p := range points {
-		g := p.build()
-		d := cdfg.DefaultDelays(false)
-		a, lim, err := lifetime.MinFUAnalysis(g, d, p.steps)
+		des, err := salsa.Compile(p.build(), salsa.Params{Steps: p.steps, ExtraRegisters: 2})
 		if err != nil {
 			return rows, err
 		}
-		var inputs []string
-		for i := range g.Nodes {
-			if g.Nodes[i].Op == cdfg.Input {
-				inputs = append(inputs, g.Nodes[i].Name)
-			}
-		}
-		hw := datapath.NewHardware(lim, a.MinRegs+2, inputs, true)
+		a, hw := des.Analysis, des.Hardware
 
 		row := BaselineRow{Workload: p.name, Steps: p.steps}
 		mRes, err := core.MatchingAllocate(a, hw, cfg.salsaOpts().Cfg)
@@ -520,7 +480,7 @@ func BaselineStudy(cfg Config) ([]BaselineRow, error) {
 		if err != nil {
 			return rows, fmt.Errorf("%s: salsa: %w", p.name, err)
 		}
-		if cold, err2 := cfg.allocateBest(a, hw, func() core.Options {
+		if cold, err2 := cfg.allocateBest(des, func() core.Options {
 			o := sOpts
 			o.Initial = nil
 			return o

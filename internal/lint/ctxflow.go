@@ -13,16 +13,16 @@ type CtxflowConfig struct {
 	PkgSuffixes []string
 }
 
-// DefaultCtxflowConfig scopes ctxflow to the layers that serve
-// requests: the HTTP service, the portfolio engine, and the salsad
-// entry point. The pure allocation packages below them are
-// context-free by design (core.Control carries the deadline), so the
-// contract does not apply there.
+// DefaultCtxflowConfig scopes ctxflow to the layers a request's
+// context flows through: the HTTP service, the router, the journal,
+// the portfolio engine, the allocator core it hands the deadline to,
+// and the salsad entry point.
 func DefaultCtxflowConfig() CtxflowConfig {
 	return CtxflowConfig{
 		PkgSuffixes: []string{
 			"internal/service",
 			"internal/engine",
+			"internal/core",
 			"internal/cluster",
 			"internal/journal",
 			"cmd/salsad",
@@ -39,8 +39,8 @@ func DefaultCtxflowConfig() CtxflowConfig {
 //   - context.Context must not be stored in a struct field — neither
 //     declared as one nor assigned into one (including composite
 //     literals); contexts are call-scoped, and a stored ctx outlives
-//     the call that owned it. Framework slots (e.g. core.Control.Ctx)
-//     are suppressed explicitly with //lint:ctxflow <reason>;
+//     the call that owned it. A deliberate exception is suppressed
+//     explicitly with //lint:ctxflow <reason>;
 //   - context.Background()/context.TODO() must not be called in a
 //     function that already receives a context (a context.Context or
 //     *http.Request parameter, including enclosing functions of a

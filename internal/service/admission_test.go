@@ -2,6 +2,7 @@ package service
 
 import (
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -288,14 +289,14 @@ func TestSemaphoreHandoffOrder(t *testing.T) {
 
 	a := send(100)
 	waitFor(t, "request A to start", func() bool { return started() == 1 })
+	// The queue-depth gauge rises before a request reaches the slot
+	// select, so it cannot tell that B is parked; only a parked B is
+	// guaranteed to be handed the slot before C.
+	base := parkedOnSlot()
 	b := send(101)
-	waitFor(t, "request B to park on the semaphore", func() bool {
-		return e.s.metrics.queueDepth.Load() == 1
-	})
+	waitFor(t, "request B to park on the semaphore", func() bool { return parkedOnSlot() == base+1 })
 	c := send(102)
-	waitFor(t, "request C to park behind B", func() bool {
-		return e.s.metrics.queueDepth.Load() == 2
-	})
+	waitFor(t, "request C to park behind B", func() bool { return parkedOnSlot() == base+2 })
 
 	// Release A's run: exactly one waiter (B — blocked channel sends
 	// hand off first-come-first-served) gets the slot; C stays parked.
@@ -321,4 +322,37 @@ func TestSemaphoreHandoffOrder(t *testing.T) {
 	if len(order) != 3 || order[0] != 100 || order[1] != 101 || order[2] != 102 {
 		t.Errorf("run order %v, want [100 101 102] (arrival order)", order)
 	}
+}
+
+// parkedOnSlot counts the goroutines blocked in runAllocation's
+// engine-slot select (its only select), read from a dump of every
+// goroutine's stack: a parked waiter's first frame outside the runtime
+// is runAllocation itself.
+func parkedOnSlot() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	parked := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		lines := strings.Split(g, "\n")
+		if !strings.Contains(lines[0], "[select") {
+			continue
+		}
+		for _, fn := range lines[1:] {
+			if strings.HasPrefix(fn, "\t") || strings.HasPrefix(fn, "runtime.") {
+				continue
+			}
+			if strings.HasPrefix(fn, "salsa/internal/service.(*Server).runAllocation(") {
+				parked++
+			}
+			break
+		}
+	}
+	return parked
 }

@@ -11,9 +11,9 @@ import (
 // Request bundles one complete allocation ask — graph, schedule
 // parameters and search configuration — into a single value the serving
 // layer (internal/service) and the CLI can execute and cache uniformly.
-// Allocation is a deterministic function of a normalized Request (minus
-// the engine's worker count and deadline), which is what makes results
-// content-addressable.
+// Allocation is a deterministic function of a normalized Request (for
+// any worker count, when the context's deadline does not cut the run
+// short), which is what makes results content-addressable.
 type Request struct {
 	Graph  *cdfg.Graph
 	Params Params
@@ -26,8 +26,8 @@ type Request struct {
 	// Restarts is the portfolio width; 0 means 3.
 	Restarts int
 
-	// Engine tunes the run without affecting the canonical result
-	// (workers) or truncating it (timeout → partial result).
+	// Engine tunes the run (workers, telemetry) without affecting the
+	// canonical result; the deadline comes from Execute's context.
 	Engine EngineConfig
 }
 
@@ -60,9 +60,9 @@ func (r Request) options() (Options, error) {
 }
 
 // Execute compiles the request's graph and runs its restart portfolio
-// on the parallel engine. Cancelling ctx (or the Engine timeout) stops
-// the search and returns the best allocation found so far — the anytime
-// result callers report as partial.
+// on the parallel engine. Cancelling ctx stops the search and returns
+// the best allocation found so far — the anytime result callers report
+// as partial.
 func Execute(ctx context.Context, req Request) (*Design, *Result, *Stats, error) {
 	req = req.Normalize()
 	opts, err := req.options()

@@ -48,10 +48,8 @@ type (
 
 	// Job is one entry of a search portfolio (see engine.Job).
 	Job = engine.Job
-	// Variant names an Options configuration for portfolio construction.
-	Variant = engine.Variant
-	// EngineConfig tunes the parallel portfolio engine: worker count,
-	// deadline, incumbent pruning, and the telemetry callback.
+	// EngineConfig tunes the parallel portfolio engine: worker count
+	// and telemetry. The run's deadline comes from its context.
 	EngineConfig = engine.Config
 	// Stats reports a portfolio run: per-job canonical results plus
 	// aggregate counts (see engine.Stats).
@@ -63,10 +61,6 @@ type (
 // Restarts builds the classic multi-start portfolio: n jobs seeded
 // opts.Seed .. opts.Seed+n-1.
 func Restarts(opts Options, n int) []Job { return engine.Restarts(opts, n) }
-
-// Portfolio crosses option variants with derived seeds (see
-// engine.Portfolio).
-func Portfolio(variants []Variant, restarts int) []Job { return engine.Portfolio(variants, restarts) }
 
 // SALSAOptions returns the full extended-binding-model configuration.
 func SALSAOptions(seed int64) Options { return core.SALSAOptions(seed) }
@@ -105,7 +99,9 @@ type Design struct {
 }
 
 // Compile validates and schedules the graph with the minimum FU budget
-// for the requested length and builds the register/FU hardware set.
+// for the requested length and builds the register/FU hardware set. It
+// is the one constructor of a design: the CLI, the service, the
+// experiment tables and the differential oracle all build theirs here.
 func Compile(g *cdfg.Graph, p Params) (*Design, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("salsa: %w", err)
@@ -160,8 +156,8 @@ func (d *Design) Allocate(opts Options, restarts int) (*Result, error) {
 // AllocatePortfolio runs an arbitrary job portfolio on the parallel
 // engine: jobs fan out over cfg.Workers goroutines, share an incumbent
 // cost for pruning, and reduce to a deterministic winner. Cancelling
-// ctx (or setting cfg.Timeout) stops the search and returns the best
-// allocation found so far.
+// ctx, for example at its deadline, stops the search and returns the
+// best allocation found so far.
 func (d *Design) AllocatePortfolio(ctx context.Context, jobs []Job, cfg EngineConfig) (*Result, *Stats, error) {
 	return engine.Run(ctx, d.Analysis, d.Hardware, jobs, cfg)
 }
